@@ -44,7 +44,6 @@ from .numerics import (
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
-    SummationStrategy,
     bernoulli,
     cot_reduced,
     euler_gamma,
@@ -78,7 +77,6 @@ __all__ = [
     "ReducedFraction",
     "ResidualRecord",
     "SeriesTruncation",
-    "SummationStrategy",
     "bernoulli",
     "c0",
     "c0_main_terms",

@@ -37,7 +37,6 @@ from .numerics import (
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
-    SummationStrategy,
     euler_gamma,
     log_two_pi,
 )
@@ -106,22 +105,8 @@ def _add_common_flags(sub: argparse.ArgumentParser, fmt: bool = True) -> None:
     sub.add_argument(
         "--precision",
         type=int,
-        default=int(os.environ.get("COTSUM_PRECISION", "53")),
-        help="working precision in bits (>= 53; default from COTSUM_PRECISION or 53)",
-    )
-    sub.add_argument(
-        "--summation",
-        choices=[s.value for s in SummationStrategy],
-        default=SummationStrategy.COMPENSATED.value,
-        help="summation strategy (default: compensated)",
-    )
-    sub.add_argument(
-        "--parallel-chunk",
-        type=int,
         default=None,
-        metavar="N",
-        help="fixed block size for the pairwise reduction tree (enables "
-        "deterministic parallel summation)",
+        help="working precision in bits (>= 53; default from COTSUM_PRECISION or 53)",
     )
     if fmt:
         sub.add_argument(
@@ -133,19 +118,17 @@ def _add_common_flags(sub: argparse.ArgumentParser, fmt: bool = True) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> PrecisionConfig:
-    return PrecisionConfig(
-        working_precision=args.precision,
-        summation=SummationStrategy(args.summation),
-        parallel_chunk=args.parallel_chunk,
-    )
-
-
-def _config_parameters(args: argparse.Namespace) -> dict:
-    return {
-        "precision": args.precision,
-        "summation": args.summation,
-        "parallel_chunk": args.parallel_chunk,
-    }
+    """The configuration for ``--precision``, else COTSUM_PRECISION, else 53."""
+    precision = args.precision
+    if precision is None:
+        env = os.environ.get("COTSUM_PRECISION", "53")
+        try:
+            precision = int(env)
+        except ValueError as err:
+            raise PreconditionError(
+                f"COTSUM_PRECISION must be an integer, got {env!r}"
+            ) from err
+    return PrecisionConfig(working_precision=precision)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +220,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     record = OutputRecord(
         command="eval",
         parameters={"h": args.h, "k": args.k, "alpha": args.alpha,
-                    **_config_parameters(args)},
+                    "precision": cfg.working_precision},
     )
     value = exact.c0(frac, cfg)
     record.values["c0"] = _as_float(value)
@@ -256,7 +239,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _suite_prop1(size: int | None, seed: int, cfg: PrecisionConfig):
-    size = size or 200
+    size = 200 if size is None else size
     rng = random.Random(seed)
     cases = []
     worst_cos = 0.0
@@ -287,7 +270,7 @@ def _suite_prop1(size: int | None, seed: int, cfg: PrecisionConfig):
 
 
 def _suite_floor(size: int | None, seed: int, cfg: PrecisionConfig):
-    size = size or 100
+    size = 100 if size is None else size
     cases = []
     worst_im = 0.0
     worst_round = 0.0
@@ -311,7 +294,7 @@ def _suite_floor(size: int | None, seed: int, cfg: PrecisionConfig):
 
 
 def _suite_lemma2(size: int | None, seed: int, cfg: PrecisionConfig):
-    size = size or 100
+    size = 100 if size is None else size
     ks = [k for k in (1, 2, 5, 10, 20, 50, 100) if k <= size]
     bs = [b for b in (2, 5, 10, 20, 50, 100) if b <= max(2, size)]
     cases = []
@@ -345,7 +328,7 @@ def _suite_lemma4(size: int | None, seed: int, cfg: PrecisionConfig):
 
 
 def _suite_lemma5(size: int | None, seed: int, cfg: PrecisionConfig):
-    base_ratio = size or 10**4
+    base_ratio = 10**4 if size is None else size
     c0_const = (euler_gamma(cfg) - log_two_pi(cfg)) / 2
     cases = []
     worst = 0.0
@@ -362,7 +345,7 @@ def _suite_lemma5(size: int | None, seed: int, cfg: PrecisionConfig):
 
 
 def _suite_corollary(size: int | None, seed: int, cfg: PrecisionConfig):
-    K = size or 10**6
+    K = 10**6 if size is None else size
     closed_form = (euler_gamma(cfg) - log_two_pi(cfg)) / 2
     estimate = asymptotics.estimate_C0([100, 1000, 10000], K, cfg)
     gap = abs(float(estimate.value - closed_form))
@@ -388,12 +371,18 @@ _SUITES = {
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
+    if args.size is not None and args.size < 1:
+        raise PreconditionError(f"--size must be positive, got {args.size}")
     cases, extra = _SUITES[args.suite](args.size, args.seed, cfg)
+    if not cases:
+        raise PreconditionError(
+            f"suite {args.suite} with --size {args.size} has no cases to check"
+        )
     failures = [name for name, ok, _ in cases if not ok]
     record = OutputRecord(
         command="verify",
         parameters={"suite": args.suite, "size": args.size, "seed": args.seed,
-                    **_config_parameters(args)},
+                    "precision": cfg.working_precision},
         values={
             "cases": len(cases),
             "failed": len(failures),
@@ -442,7 +431,12 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
     out_path = args.out or (
         "residuals.json" if args.format == "json" else "residuals.csv"
     )
-    _write_residuals(out_path, records, report, args.format)
+    try:
+        _write_residuals(out_path, records, report, args.format)
+    except OSError as err:
+        raise PreconditionError(
+            f"cannot write {out_path!r}: {err.strerror or err}"
+        ) from err
     record = OutputRecord(
         command="residuals",
         parameters={
@@ -450,7 +444,7 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
             "b_max": args.b_max,
             "geometric_step": args.geometric_step,
             "out": out_path,
-            **_config_parameters(args),
+            "precision": cfg.working_precision,
         },
         values={
             "rows": len(records),
@@ -509,7 +503,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     closed_form = (gamma - l2p) / 2
     record = OutputRecord(
         command="constants",
-        parameters={"K": args.K, "bs": bs, **_config_parameters(args)},
+        parameters={"K": args.K, "bs": bs, "precision": cfg.working_precision},
         values={
             "euler_gamma": _as_float(gamma),
             "log_two_pi": _as_float(l2p),

@@ -85,22 +85,15 @@ class FracIdentityResult:
 def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """The cotangent sum c0(h/k) = -sum_{m=1}^{k-1} (m/k) cot(pi*m*h/k).
 
-    Cost O(k); terms are summed in increasing m under the configured strategy.
+    Cost O(k); the terms are summed with one correct rounding.
     """
     if frac.k < 2:
-        raise ValueError(f"c0 requires k >= 2, got k = {frac.k}")
+        raise PreconditionError(f"c0 requires k >= 2, got k = {frac.k}")
     h, k = frac.h, frac.k
     row = _cot_row(k, cfg.working_precision)
 
     def body(mt, pi, real):
-        terms = []
-        r = 0
-        for m in range(1, k):
-            r += h
-            if r >= k:
-                r -= k
-            terms.append((row[r] * m) / k)
-        return -sum_strategy(terms, cfg)
+        return -sum_strategy(((row[m * h % k] * m) / k for m in range(1, k)), cfg)
 
     return _eval(cfg, body)
 
@@ -186,14 +179,9 @@ def estermann_at_zero(
     scale = 2 ** (alpha + 1)
 
     def body(mt, pi, real):
-        terms = []
-        r = 0
-        for m in range(1, k):
-            r += h
-            if r >= k:
-                r -= k
-            terms.append((_horner(coeffs, row[r]) * m) / k)
-        s = sum_strategy(terms, cfg)
+        s = sum_strategy(
+            ((_horner(coeffs, row[m * h % k]) * m) / k for m in range(1, k)), cfg
+        )
         return (sign * s) / scale
 
     imag = _eval(cfg, body)
@@ -230,11 +218,8 @@ def _floor_identity_parts(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG)
     def body(mt, pi, real):
         re_terms = []
         im_terms = []
-        j = 0
         for m in range(1, b):
-            j += a_mod
-            if j >= b:
-                j -= b
+            j = m * a_mod % b
             c = cot[m]
             wr = cos_row[j]
             wi = sin_row[j]
@@ -297,14 +282,7 @@ def cot_cos_identity_residual(
     step = (n * a) % b
 
     def body(mt, pi, real):
-        terms = []
-        j = 0
-        for m in range(1, b):
-            j += step
-            if j >= b:
-                j -= b
-            terms.append(cot[m] * cos_row[j])
-        return sum_strategy(terms, cfg)
+        return sum_strategy((cot[m] * cos_row[m * step % b] for m in range(1, b)), cfg)
 
     return _eval(cfg, body)
 
@@ -327,14 +305,7 @@ def frac_via_cot_sin(
     _, sin_row = _unit_row(b, cfg.working_precision)
 
     def body(mt, pi, real):
-        terms = []
-        j = 0
-        for m in range(1, b):
-            j += step
-            if j >= b:
-                j -= b
-            terms.append(cot[m] * sin_row[j])
-        s = sum_strategy(terms, cfg)
+        s = sum_strategy((cot[m] * sin_row[m * step % b] for m in range(1, b)), cfg)
         return real(1) / 2 - s / (2 * b)
 
     return FracIdentityResult(n=n, a=a, b=b, value=_eval(cfg, body))

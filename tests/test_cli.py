@@ -70,6 +70,14 @@ def test_usage_error_exit_code(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
 
 
+def test_removed_summation_flags_are_usage_errors(capsys):
+    eval_c0 = ["eval", "--h", "1", "--k", "4"]
+    code, _, err = run_cli(capsys, [*eval_c0, "--summation", "naive"])
+    assert code == 2
+    assert "--summation" in err
+    assert run_cli(capsys, [*eval_c0, "--parallel-chunk", "64"])[0] == 2
+
+
 def test_precision_env_default(capsys, monkeypatch):
     monkeypatch.setenv("COTSUM_PRECISION", "113")
     code, out, _ = run_cli(capsys, ["eval", "--h", "1", "--k", "3"])
@@ -77,6 +85,21 @@ def test_precision_env_default(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["parameters"]["precision"] == 113
     assert "c0_digits" in payload["diagnostics"]
+
+
+def test_precision_env_rejects_non_integer(capsys, monkeypatch):
+    monkeypatch.setenv("COTSUM_PRECISION", "abc")
+    code, out, err = run_cli(capsys, ["eval", "--h", "1", "--k", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "COTSUM_PRECISION" in err and "'abc'" in err
+    # an explicit --precision never reads the environment
+    code, out, _ = run_cli(
+        capsys, ["eval", "--h", "1", "--k", "3", "--precision", "53"]
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"]["precision"] == 53
 
 
 # ----------------------------------------------------------------- verify
@@ -103,6 +126,22 @@ def test_verify_prop1_small(capsys):
     assert payload["values"]["cases"] == 39
     assert payload["diagnostics"]["max_cot_cos_residue"] <= 1e-10
     assert payload["diagnostics"]["max_frac_error"] <= 1e-10
+
+
+def test_verify_prop1_with_no_cases_is_not_a_pass(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--suite", "prop1", "--size", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "no cases" in err
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_verify_rejects_non_positive_size(capsys, size):
+    for suite in ("prop1", "corollary"):
+        code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--size", size])
+        assert code == 2
+        assert out == ""
+        assert "--size must be positive" in err
 
 
 def test_verify_floor_small(capsys):
@@ -216,6 +255,18 @@ def test_residuals_json_rows_with_trailing_summary(capsys, tmp_path):
     assert set(rows[-1]) == {"slope", "intercept", "max_abs_delta"}
 
 
+def test_residuals_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(
+        capsys,
+        ["residuals", "--b-min", "256", "--b-max", "512", "--out", str(out_file)],
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(out_file) in err
+    assert not out_file.parent.exists()
+
+
 def test_residuals_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, ["residuals", "--b-min", "5", "--b-max", "2"])
     assert code == 2
@@ -284,8 +335,7 @@ def test_repeated_runs_are_identical_in_process(capsys):
         ["eval", "--h", "3", "--k", "8", "--alpha", "2"],
         ["verify", "--suite", "lemma4"],
         ["constants", "--K", "1000", "--bs", "10,100,1000"],
-        ["eval", "--h", "3", "--k", "8", "--summation", "pairwise",
-         "--parallel-chunk", "64"],
+        ["eval", "--h", "3", "--k", "8"],
     ]
     for argv in argvs:
         code1, out1, _ = run_cli(capsys, argv)

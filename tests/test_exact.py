@@ -41,7 +41,7 @@ def test_c0_hand_values(cfg):
 
 
 def test_c0_rejects_integer_argument(cfg):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         c0(ReducedFraction(1, 1), cfg)
 
 

@@ -13,14 +13,12 @@ from cotsum import (
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
-    SummationStrategy,
     bernoulli,
     cot_reduced,
     euler_gamma,
     log_two_pi,
     sum_strategy,
 )
-from cotsum.numerics import _combine_pairwise, _sum_naive
 
 ULP = 2.0**-52
 
@@ -189,46 +187,21 @@ def test_cot_reduced_extended_precision(cfg_ext):
 def test_sum_basic(cfg):
     assert sum_strategy([1.0, 2.0, 3.0], cfg) == 6.0
     assert sum_strategy([], cfg) == 0.0
-    assert sum_strategy(iter([]), PrecisionConfig(summation=SummationStrategy.NAIVE)) == 0.0
-    assert sum_strategy([], PrecisionConfig(summation=SummationStrategy.PAIRWISE)) == 0.0
+    assert sum_strategy(iter([]), cfg) == 0.0
 
 
-def test_sum_compensated_beats_naive_drift():
+def test_sum_compensated_beats_naive_drift(cfg):
+    # a naive running sum drifts by ~1e-6 here; the correctly rounded sum
+    # has no drift at all
     values = [0.1] * 10**6
-    comp = sum_strategy(values, PrecisionConfig(summation=SummationStrategy.COMPENSATED))
-    naive = sum_strategy(values, PrecisionConfig(summation=SummationStrategy.NAIVE))
-    assert abs(comp - 100000.0) < 1e-8
-    assert abs(comp - 100000.0) <= abs(naive - 100000.0)
-
-
-def test_pairwise_tree_is_deterministic_and_documented():
-    import random
-
-    rng = random.Random(7)
-    values = [rng.uniform(-1, 1) for _ in range(10**5)]
-    cfg = PrecisionConfig(summation=SummationStrategy.PAIRWISE, parallel_chunk=97)
-    first = sum_strategy(values, cfg)
-    second = sum_strategy(values, cfg)
-    assert first == second
-    # reference: naive block sums combined over the adjacent-pair tree
-    blocks = [_sum_naive(values[i:i + 97]) for i in range(0, len(values), 97)]
-    assert first == _combine_pairwise(blocks)
-
-
-def test_pairwise_default_block_matches_reference():
-    values = [float(i) for i in range(1, 1001)]
-    cfg = PrecisionConfig(summation=SummationStrategy.PAIRWISE)
-    blocks = [_sum_naive(values[i:i + 128]) for i in range(0, len(values), 128)]
-    assert sum_strategy(values, cfg) == _combine_pairwise(blocks)
+    assert sum_strategy(values, cfg) == float(10**6 * Fraction(0.1))
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=300))
 def test_all_strategies_agree_with_fsum(values):
-    ref = math.fsum(values)
-    scale = max(1.0, math.fsum(abs(v) for v in values))
-    for strategy in SummationStrategy:
-        got = sum_strategy(values, PrecisionConfig(summation=strategy))
-        assert abs(got - ref) <= 1e-9 * scale
+    # one correct rounding of the exact rational sum, not mere closeness
+    exact = sum(map(Fraction, values))
+    assert sum_strategy(values, PrecisionConfig()) == float(exact)
 
 
 def test_compensated_matches_exact_rational_reference(cfg):
@@ -240,9 +213,24 @@ def test_compensated_matches_exact_rational_reference(cfg):
         row = _cot_row(k, 53)
         terms = [(row[r] * m) / k for m, r in zip(range(1, k), _residues(3, k))]
         exact = sum(Fraction(t) for t in terms)
-        got = sum_strategy(terms, cfg)
-        scale = max(float(abs(exact)), math.fsum(abs(t) for t in terms))
-        assert abs(got - float(exact)) <= 1e-12 * scale
+        assert sum_strategy(terms, cfg) == float(exact)
+
+
+def test_sum_extended_matches_exact_rational_reference(cfg_ext):
+    from cotsum.numerics import _cot_row
+
+    k = 1009
+    row = _cot_row(k, 113)
+    with mpmath.workprec(113):
+        terms = [(row[r] * m) / k for m, r in zip(range(1, k), _residues(3, k))]
+    exact = sum(_mpf_fraction(t) for t in terms)
+    got = _mpf_fraction(sum_strategy(terms, cfg_ext))
+    assert abs(got - exact) <= abs(exact) * Fraction(1, 2**105)
+
+
+def _mpf_fraction(x) -> Fraction:
+    man, exp = x.man_exp  # magnitude only
+    return int(mpmath.sign(x)) * Fraction(man) * Fraction(2) ** exp
 
 
 def _residues(h, k):
@@ -258,8 +246,6 @@ def _residues(h, k):
 def test_precision_config_validation():
     with pytest.raises(PreconditionError):
         PrecisionConfig(working_precision=52)
-    with pytest.raises(PreconditionError):
-        PrecisionConfig(parallel_chunk=0)
     assert PrecisionConfig(working_precision=113).extended
     assert not PrecisionConfig().extended
 
