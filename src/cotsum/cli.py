@@ -23,15 +23,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
-import random
+import signal
 import sys
 from dataclasses import dataclass, field
 
 import mpmath
 
-from . import asymptotics, exact
+from . import asymptotics, checks, exact
 from .numerics import (
     NumericalConsistencyError,
     PrecisionConfig,
@@ -43,7 +42,6 @@ from .numerics import (
 
 __all__ = ["OutputRecord", "build_parser", "main", "entrypoint"]
 
-DEFAULT_SEED = 927227
 DEFAULT_RESIDUAL_BUDGET = 10**8
 
 EXIT_OK = 0
@@ -83,10 +81,6 @@ class OutputRecord:
 
     def render(self, fmt: str) -> str:
         return self.to_json() if fmt == "json" else self.to_text()
-
-
-def _as_float(x) -> float:
-    return float(x)
 
 
 def _full_digits(x, cfg: PrecisionConfig) -> str:
@@ -155,17 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         required=True,
-        choices=["prop1", "floor", "lemma2", "lemma4", "lemma5", "corollary"],
+        choices=list(checks.SUITES),
         help="which identity/bound suite to run",
     )
     p_verify.add_argument(
-        "--size", type=int, default=None, help="suite size (suite-specific default)"
+        "--size", type=int, default=None, help="suite-specific size; see README"
     )
     p_verify.add_argument(
         "--seed",
         type=int,
-        default=DEFAULT_SEED,
-        help="seed for the pseudo-random case sampling (fixed default)",
+        default=checks.DEFAULT_SEED,
+        help="seed for the sampled prop1 cases (fixed default)",
     )
     _add_common_flags(p_verify)
 
@@ -223,13 +217,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                     "precision": cfg.working_precision},
     )
     value = exact.c0(frac, cfg)
-    record.values["c0"] = _as_float(value)
+    record.values["c0"] = float(value)
     if cfg.extended:
         record.diagnostics["c0_digits"] = _full_digits(value, cfg)
     if args.alpha is not None:
         ev = exact.estermann_at_zero(frac, args.alpha, cfg)
-        record.values["estermann_re"] = _as_float(ev.real_part)
-        record.values["estermann_im"] = _as_float(ev.imag_part)
+        record.values["estermann_re"] = float(ev.real_part)
+        record.values["estermann_im"] = float(ev.imag_part)
         if cfg.extended:
             record.diagnostics["estermann_im_digits"] = _full_digits(
                 ev.imag_part, cfg
@@ -238,142 +232,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _suite_prop1(size: int | None, seed: int, cfg: PrecisionConfig):
-    size = 200 if size is None else size
-    rng = random.Random(seed)
-    cases = []
-    worst_cos = 0.0
-    worst_frac = 0.0
-    for b in range(2, size + 1):
-        max_cos = 0.0
-        max_frac = 0.0
-        ok = True
-        for _ in range(20):
-            a = rng.randrange(1, 10**6)
-            n = rng.randrange(1, 10**6)
-            residue = abs(float(exact.cot_cos_identity_residual(a, b, n, cfg)))
-            max_cos = max(max_cos, residue)
-            if residue > 1e-10:
-                ok = False
-            if (n * a) % b == 0:
-                continue
-            got = exact.frac_via_cot_sin(a, b, n, cfg).value
-            err = abs(float(got) - ((n * a) % b) / b)
-            max_frac = max(max_frac, err)
-            if err > 1e-10:
-                ok = False
-        cases.append((f"b={b}", ok, max(max_cos, max_frac)))
-        worst_cos = max(worst_cos, max_cos)
-        worst_frac = max(worst_frac, max_frac)
-    extra = {"max_cot_cos_residue": worst_cos, "max_frac_error": worst_frac}
-    return cases, extra
-
-
-def _suite_floor(size: int | None, seed: int, cfg: PrecisionConfig):
-    size = 100 if size is None else size
-    cases = []
-    worst_im = 0.0
-    worst_round = 0.0
-    for b in range(2, size + 1):
-        ok = True
-        max_im = 0.0
-        max_round = 0.0
-        for a in range(1, 1001):
-            re, im = exact._floor_identity_parts(a, b, cfg)
-            re_f, im_f = float(re), float(im)
-            nearest = round(re_f)
-            max_im = max(max_im, abs(im_f))
-            max_round = max(max_round, abs(re_f - nearest))
-            if nearest != a // b:
-                ok = False
-        cases.append((f"b={b}", ok and max_im <= 1e-9 and max_round <= 1e-6, max_im))
-        worst_im = max(worst_im, max_im)
-        worst_round = max(worst_round, max_round)
-    extra = {"max_imag_residue": worst_im, "max_rounding_distance": worst_round}
-    return cases, extra
-
-
-def _suite_lemma2(size: int | None, seed: int, cfg: PrecisionConfig):
-    size = 100 if size is None else size
-    ks = [k for k in (1, 2, 5, 10, 20, 50, 100) if k <= size]
-    bs = [b for b in (2, 5, 10, 20, 50, 100) if b <= max(2, size)]
-    cases = []
-    worst = 0.0
-    for k in ks:
-        for b in bs:
-            block = math.fsum(1.0 / a for a in range(k * b, (k + 1) * b))
-            approx = float(asymptotics.inner_block_expansion(k, b, cfg))
-            defect = abs(approx - block)
-            bound = 1.0 / (k**4 * b**4) + 1e-12
-            cases.append((f"k={k},b={b}", defect <= bound, defect))
-            worst = max(worst, defect)
-    return cases, {"max_block_defect": worst}
-
-
-def _suite_lemma4(size: int | None, seed: int, cfg: PrecisionConfig):
-    grid = (10, 20, 50, 100)
-    cases = []
-    worst = 0.0
-    for k in grid:
-        for b in grid:
-            d1 = abs(
-                asymptotics.f_term(1, k, b) / 2 - asymptotics.taylor_f1(k, b)
-            ) * k**4 * b
-            d2 = abs(
-                -asymptotics.f_term(2, k, b) / 12 - asymptotics.taylor_f2(k, b)
-            ) * k**5 * b**2
-            cases.append((f"k={k},b={b}", d1 <= 10 and d2 <= 10, max(d1, d2)))
-            worst = max(worst, d1, d2)
-    return cases, {"max_scaled_defect": worst}
-
-
-def _suite_lemma5(size: int | None, seed: int, cfg: PrecisionConfig):
-    base_ratio = 10**4 if size is None else size
-    c0_const = (euler_gamma(cfg) - log_two_pi(cfg)) / 2
-    cases = []
-    worst = 0.0
-    for b in (10, 100):
-        for ratio in (base_ratio, 10 * base_ratio):
-            L = b * ratio
-            direct = asymptotics.s_sum_direct(L, b, cfg)
-            approx = asymptotics.s_sum_asymptotic(L, b, c0_const, cfg)
-            defect = abs(float(direct - approx))
-            bound = 2 + 0.05 * b * b / L
-            cases.append((f"b={b},L={L}", defect <= bound, defect))
-            worst = max(worst, defect)
-    return cases, {"max_closure_defect": worst}
-
-
-def _suite_corollary(size: int | None, seed: int, cfg: PrecisionConfig):
-    K = 10**6 if size is None else size
-    closed_form = (euler_gamma(cfg) - log_two_pi(cfg)) / 2
-    estimate = asymptotics.estimate_C0([100, 1000, 10000], K, cfg)
-    gap = abs(float(estimate.value - closed_form))
-    cases = [(f"bs=100,1000,10000,K={K}", gap <= 1e-3, gap)]
-    extra = {
-        "estimate": float(estimate.value),
-        "closed_form": float(closed_form),
-        "gap": gap,
-        "tail_bound": estimate.tail_bound,
-    }
-    return cases, extra
-
-
-_SUITES = {
-    "prop1": _suite_prop1,
-    "floor": _suite_floor,
-    "lemma2": _suite_lemma2,
-    "lemma4": _suite_lemma4,
-    "lemma5": _suite_lemma5,
-    "corollary": _suite_corollary,
-}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     if args.size is not None and args.size < 1:
         raise PreconditionError(f"--size must be positive, got {args.size}")
-    cases, extra = _SUITES[args.suite](args.size, args.seed, cfg)
+    cases, extra = checks.SUITES[args.suite](args.size, args.seed, cfg)
     if not cases:
         raise PreconditionError(
             f"suite {args.suite} with --size {args.size} has no cases to check"
@@ -505,9 +368,9 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         command="constants",
         parameters={"K": args.K, "bs": bs, "precision": cfg.working_precision},
         values={
-            "euler_gamma": _as_float(gamma),
-            "log_two_pi": _as_float(l2p),
-            "closed_form_C0": _as_float(closed_form),
+            "euler_gamma": float(gamma),
+            "log_two_pi": float(l2p),
+            "closed_form_C0": float(closed_form),
         },
     )
     if cfg.extended:
@@ -515,12 +378,12 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         record.diagnostics["log_two_pi_digits"] = _full_digits(l2p, cfg)
     for b in bs:
         est = asymptotics.r_series(b, args.K, cfg)
-        record.values[f"r_{b}"] = _as_float(est.value)
+        record.values[f"r_{b}"] = float(est.value)
         record.diagnostics[f"r_{b}_tail_bound"] = est.tail_bound
     if len(bs) >= 3:
         estimate = asymptotics.estimate_C0(bs, args.K, cfg)
-        record.values["C0_estimate"] = _as_float(estimate.value)
-        record.values["C0_gap"] = abs(_as_float(estimate.value) - _as_float(closed_form))
+        record.values["C0_estimate"] = float(estimate.value)
+        record.values["C0_gap"] = abs(float(estimate.value) - float(closed_form))
         record.diagnostics["C0_tail_bound"] = estimate.tail_bound
     else:
         record.diagnostics["extrapolation"] = (
@@ -555,4 +418,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # A closed stdout (``cotsum ... | head``) ends the process by SIGPIPE, as
+    # it would a C tool, not with a traceback and the verification-failed exit.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

@@ -7,7 +7,6 @@ printing a single PASS/FAIL line (run with ``pytest -s`` to see them all).
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,19 +16,9 @@ from cotsum import (
     PrecisionConfig,
     ReducedFraction,
     c0,
-    cot_cos_identity_residual,
-    estimate_C0,
-    euler_gamma,
-    f_term,
-    floor_via_exponential_sum,
-    frac_via_cot_sin,
+    checks,
     g_partial,
-    log_two_pi,
     residual_scan,
-    s_sum_asymptotic,
-    s_sum_direct,
-    taylor_f1,
-    taylor_f2,
 )
 
 CFG = PrecisionConfig()
@@ -54,38 +43,30 @@ def test_criterion_1_exact_small_values():
     assert err4 <= 1e-12
 
 
+def failed(cases) -> list[str]:
+    return [name for name, ok, _ in cases if not ok]
+
+
 def test_criterion_2_proposition_1_suite():
-    rng = random.Random(SEED)
-    max_cos = 0.0
-    max_frac = 0.0
-    for b in range(2, 201):
-        for _ in range(20):
-            a = rng.randrange(1, 10**6)
-            n = rng.randrange(1, 10**6)
-            max_cos = max(max_cos, abs(cot_cos_identity_residual(a, b, n, CFG)))
-            while (n * a) % b == 0:
-                a = rng.randrange(1, 10**6)
-                n = rng.randrange(1, 10**6)
-            got = frac_via_cot_sin(a, b, n, CFG).value
-            max_frac = max(max_frac, abs(got - ((n * a) % b) / b))
-    ok = max_cos <= 1e-10 and max_frac <= 1e-10
+    cases, extra = checks.prop1(200, SEED, CFG)
+    max_cos, max_frac = extra["max_cot_cos_residue"], extra["max_frac_error"]
+    ok = not failed(cases) and max_cos <= 1e-10 and max_frac <= 1e-10
     report(2, ok, f"max cot*cos residue={max_cos:.2e}, max frac error={max_frac:.2e}")
+    assert failed(cases) == []
     assert max_cos <= 1e-10
     assert max_frac <= 1e-10
 
 
 def test_criterion_3_floor_identity():
-    # floor_via_exponential_sum raises if the imaginary residue exceeds 1e-9
-    # or the real part strays from an integer, so bounds are enforced per call
-    mismatches = 0
-    for b in range(2, 101):
-        for a in range(1, 1001):
-            if floor_via_exponential_sum(a, b, CFG) != a // b:
-                mismatches += 1
-    ok = mismatches == 0
-    report(3, ok, f"b<=100, a<=1000: {mismatches} mismatches, "
-                  "imag residue <= 1e-9 enforced per evaluation")
-    assert mismatches == 0
+    cases, extra = checks.floor(100, SEED, CFG)
+    max_im, max_round = extra["max_imag_residue"], extra["max_rounding_distance"]
+    ok = not failed(cases) and max_im <= 1e-9 and max_round <= 1e-6
+    report(3, ok, f"b<=100, a<=1000: {len(failed(cases))} failed values of b, "
+                  f"max imag residue={max_im:.2e}, "
+                  f"max rounding distance={max_round:.2e}")
+    assert failed(cases) == []
+    assert max_im <= 1e-9
+    assert max_round <= 1e-6
 
 
 def test_criterion_4_representation_consistency():
@@ -104,39 +85,32 @@ def test_criterion_4_representation_consistency():
 
 
 def test_criterion_5_taylor_remainder_shapes():
-    worst = 0.0
-    for k in (10, 20, 50, 100):
-        for b in (10, 20, 50, 100):
-            d1 = abs(f_term(1, k, b) / 2 - taylor_f1(k, b)) * k**4 * b
-            d2 = abs(-f_term(2, k, b) / 12 - taylor_f2(k, b)) * k**5 * b**2
-            worst = max(worst, d1, d2)
-    ok = worst <= 10
+    cases, extra = checks.lemma4(None, SEED, CFG)
+    worst = extra["max_scaled_defect"]
+    ok = not failed(cases) and worst <= 10
     report(5, ok, f"max scaled defect {worst:.3f} <= 10 over the grid")
+    assert failed(cases) == []
     assert worst <= 10
 
 
 def test_criterion_6_weighted_floor_sum_closure():
-    c0_const = (euler_gamma(CFG) - log_two_pi(CFG)) / 2
-    worst = 0.0
-    for b in (10, 100):
-        for ratio in (10**4, 10**5):
-            L = b * ratio
-            defect = abs(
-                s_sum_direct(L, b, CFG) - s_sum_asymptotic(L, b, c0_const, CFG)
-            )
-            bound = 2 + 0.05 * b * b / L
-            worst = max(worst, defect)
-            assert defect <= bound, f"(b={b}, L={L}): {defect:.4f} > {bound:.4f}"
-    report(6, True, f"max closure defect {worst:.4f} <= 2 + 0.05*b^2/L")
+    cases, extra = checks.lemma5(10**4, SEED, CFG)
+    inputs = [(b, b * ratio) for b in (10, 100) for ratio in (10**4, 10**5)]
+    assert [name for name, _, _ in cases] == [f"b={b},L={L}" for b, L in inputs]
+    for (name, ok, defect), (b, L) in zip(cases, inputs):
+        bound = 2 + 0.05 * b * b / L
+        assert ok and defect <= bound, f"({name}): {defect:.4f} > {bound:.4f}"
+    report(6, True, f"max closure defect {extra['max_closure_defect']:.4f} "
+                    "<= 2 + 0.05*b^2/L")
 
 
 def test_criterion_7_constant_closure():
-    closed_form = (euler_gamma(CFG) - log_two_pi(CFG)) / 2
-    estimate = estimate_C0([100, 1000, 10000], 10**6, CFG)
-    gap = abs(estimate.value - closed_form)
-    ok = gap <= 1e-3
-    report(7, ok, f"C0 estimate {estimate.value!r} vs closed form "
-                  f"{closed_form!r}: gap {gap:.2e} <= 1e-3")
+    cases, extra = checks.corollary(10**6, SEED, CFG)
+    gap = extra["gap"]
+    ok = not failed(cases) and gap <= 1e-3
+    report(7, ok, f"C0 estimate {extra['estimate']!r} vs closed form "
+                  f"{extra['closed_form']!r}: gap {gap:.2e} <= 1e-3")
+    assert failed(cases) == []
     assert gap <= 1e-3
 
 

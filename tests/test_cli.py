@@ -3,9 +3,15 @@
 import csv
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cotsum
 from cotsum import NumericalConsistencyError
 from cotsum.cli import main
 
@@ -135,6 +141,23 @@ def test_verify_prop1_with_no_cases_is_not_a_pass(capsys):
     assert err.startswith("error:") and "no cases" in err
 
 
+@pytest.mark.parametrize("suite,size,cases", [("lemma4", "20", 4), ("lemma2", "5", 6)])
+def test_verify_grid_suites_honour_size(capsys, suite, size, cases):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", suite, "--size", size])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["values"]["cases"] == cases
+    assert payload["parameters"]["size"] == int(size)
+
+
+@pytest.mark.parametrize("suite,size", [("lemma4", "3"), ("lemma2", "1")])
+def test_verify_grid_below_its_smallest_value_has_no_cases(capsys, suite, size):
+    code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--size", size])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "no cases" in err
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_verify_rejects_non_positive_size(capsys, size):
     for suite in ("prop1", "corollary"):
@@ -195,12 +218,36 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def broken_suite(size, seed, cfg):
         return [("case", False, 1.0)], {}
 
-    monkeypatch.setitem(cli_mod._SUITES, "lemma4", broken_suite)
+    monkeypatch.setitem(cli_mod.checks.SUITES, "lemma4", broken_suite)
     code, out, _ = run_cli(capsys, ["verify", "--suite", "lemma4"])
     assert code == 1
     payload = json.loads(out)
     assert payload["values"]["passed"] is False
     assert payload["diagnostics"]["failed_cases"] == ["case"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe_without_traceback():
+    env = dict(os.environ)
+    package_root = str(Path(cotsum.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cotsum", "verify", "--suite", "lemma4",
+             "--format", "text"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == -signal.SIGPIPE
+    assert b"Traceback" not in proc.stderr
 
 
 def test_numerical_consistency_exit_code(capsys, monkeypatch):
