@@ -14,7 +14,9 @@ from .asymptotics import (
     LogFitReport,
     ResidualRecord,
     c0_main_terms,
+    check_C0_nodes,
     estimate_C0,
+    extrapolate_C0,
     f_term,
     inner_block_expansion,
     r_series,
@@ -32,6 +34,7 @@ from .exact import (
     cot_derivative,
     cot_row_sum_zero,
     estermann_at_zero,
+    floor_identity,
     floor_via_exponential_sum,
     frac_via_cot_sin,
 )
@@ -82,6 +85,7 @@ __all__ = [
     "c0_main_terms",
     "c0_series_partial",
     "c0_series_with_truncation",
+    "check_C0_nodes",
     "cot_cos_identity_residual",
     "cot_derivative",
     "cot_reduced",
@@ -90,7 +94,9 @@ __all__ = [
     "estermann_at_zero",
     "estimate_C0",
     "euler_gamma",
+    "extrapolate_C0",
     "f_term",
+    "floor_identity",
     "floor_via_exponential_sum",
     "frac_via_cot_sin",
     "g_lemma_decomposition_check",

@@ -33,7 +33,9 @@ __all__ = [
     "LogFitReport",
     "ResidualRecord",
     "c0_main_terms",
+    "check_C0_nodes",
     "estimate_C0",
+    "extrapolate_C0",
     "f_term",
     "inner_block_expansion",
     "r_series",
@@ -156,42 +158,6 @@ def s_sum_direct(L: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     return _eval(cfg, body)
 
 
-def _r_partial(b: int, K: int, cfg: PrecisionConfig):
-    """Partial sum to K of k*(log(((k+1)b-1)/(kb-1)) - 1/k + 1/(2k^2) - 1/(bk^2))."""
-
-    def body(mt, pi, real):
-        def terms():
-            for k in range(1, K + 1):
-                lg = mt.log(real((k + 1) * b - 1) / (k * b - 1))
-                kk = k * k
-                yield k * (lg - real(1) / k + real(1) / (2 * kk) - real(1) / (b * kk))
-
-        return sum_strategy(terms(), cfg)
-
-    return _eval(cfg, body)
-
-
-def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantEstimate:
-    """Block-correction series r(b), truncated at K with a dyadic tail estimate.
-
-    Terms decay like 1/k^2, so the tail beyond K has magnitude ~ c/K.  The
-    estimate compares the K/2 -> K and K -> 2K partial-sum increments, whose
-    sizes bracket the true tail under that decay; nothing is certified.
-    """
-    if b < 2:
-        raise PreconditionError(f"need b >= 2, got {b}")
-    if K < 100:
-        raise PreconditionError(f"need K >= 100, got {K}")
-    s_half = _r_partial(b, K // 2, cfg)
-    s_full = _r_partial(b, K, cfg)
-    s_double = _r_partial(b, 2 * K, cfg)
-    d1 = abs(s_full - s_half)
-    d2 = abs(s_double - s_full)
-    return ConstantEstimate(
-        value=s_full, truncation_K=K, tail_bound=float(max(d1, 2 * d2))
-    )
-
-
 def _neville_to_zero(xs: list[float], ys: list):
     """Polynomial extrapolation of (xs, ys) to x = 0; returns the diagonal."""
     diag = []
@@ -208,16 +174,71 @@ def _neville_to_zero(xs: list[float], ys: list):
     return diag
 
 
-def estimate_C0(
-    bs: list[int], K: int, cfg: PrecisionConfig = DEFAULT_CONFIG
-) -> ConstantEstimate:
-    """Extract the main-term constant by extrapolating r(b) in 1/b to b = infinity.
+def _r_terms(b: int, lo: int, hi: int, mt, real):
+    """Terms k = lo+1..hi of r(b), each k*(log(ratio) - 1/k + 1/(2k^2) - 1/(bk^2)).
 
-    Richardson-style: polynomial extrapolation at nodes 1/b (two levels for
-    three nodes), then subtraction of the structural offset 1 between the
-    block series' limit and the closed-form constant (gamma - log(2*pi))/2.
-    The tail_bound combines the extrapolation's last diagonal step with the
-    worst per-b truncation estimate.
+    The ratio ((k+1)b-1)/(kb-1) is 1 + b/(kb-1), so the log is taken by
+    ``log1p``.  The bracket is still O(1/k^3) against a log of O(1/k), so
+    each term carries an absolute rounding error of a few units of 2^-p at
+    working precision p.
+    """
+    for k in range(lo + 1, hi + 1):
+        kk = k * k
+        yield k * (
+            mt.log1p(real(b) / (k * b - 1))
+            - real(1) / k
+            + real(1) / (2 * kk)
+            - real(1) / (b * kk)
+        )
+
+
+def _r_checkpoints(b: int, K: int, cfg: PrecisionConfig):
+    """Partial sums of r(b) at n = K/8, K/4, K/2 and K, in one pass of K terms.
+
+    Returns ``(ns, partials)``.  Each segment between checkpoints is one
+    correctly rounded sum of its terms, and each partial sum one correctly
+    rounded sum of the segment sums before it.
+    """
+    ns = [K // 8, K // 4, K // 2, K]
+
+    def body(mt, pi, real):
+        segments = [
+            sum_strategy(_r_terms(b, lo, hi, mt, real), cfg)
+            for lo, hi in zip([0] + ns, ns)
+        ]
+        return [sum_strategy(segments[: i + 1], cfg) for i in range(len(ns))]
+
+    return ns, _eval(cfg, body)
+
+
+def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantEstimate:
+    """Block-correction series r(b), extrapolated from partial sums up to K.
+
+    Terms decay like 1/k^2 and have an expansion in 1/k, so the tail beyond n
+    has one in 1/n.  The partial sums at n = K/8, K/4, K/2 and K are
+    extrapolated to 1/n = 0 by Neville's scheme.  ``tail_bound`` is the last
+    diagonal step plus K * 2^-p, the rounding floor of K terms at working
+    precision p; it is an estimate, nothing is certified.
+    """
+    if b < 2:
+        raise PreconditionError(f"need b >= 2, got {b}")
+    if K < 100:
+        raise PreconditionError(f"need K >= 100, got {K}")
+    ns, partials = _r_checkpoints(b, K, cfg)
+
+    def body(mt, pi, real):
+        diag = _neville_to_zero([real(1) / n for n in ns], partials)
+        return diag[-1], abs(float(diag[-1] - diag[-2]))
+
+    value, step = _eval(cfg, body)
+    rounding = K * 2.0 ** -cfg.working_precision
+    return ConstantEstimate(value=value, truncation_K=K, tail_bound=step + rounding)
+
+
+def check_C0_nodes(bs: list[int]) -> None:
+    """Raise :class:`PreconditionError` unless bs can be extrapolated in 1/b.
+
+    That takes at least three values of b, each >= 2, strictly increasing.
     """
     if len(bs) < 3:
         raise PreconditionError(f"need at least 3 values of b, got {len(bs)}")
@@ -225,7 +246,22 @@ def estimate_C0(
         raise PreconditionError(f"every b must be >= 2, got {bs}")
     if sorted(set(bs)) != list(bs):
         raise PreconditionError(f"bs must be strictly increasing, got {bs}")
-    estimates = [r_series(b, K, cfg) for b in bs]
+
+
+def extrapolate_C0(
+    bs: list[int],
+    estimates: list[ConstantEstimate],
+    cfg: PrecisionConfig = DEFAULT_CONFIG,
+) -> ConstantEstimate:
+    """The main-term constant from the values r(b) already computed for bs.
+
+    Richardson-style: polynomial extrapolation at nodes 1/b (two levels for
+    three nodes), then subtraction of the structural offset 1 between the
+    block series' limit and the closed-form constant (gamma - log(2*pi))/2.
+    The tail_bound combines the extrapolation's last diagonal step with the
+    worst per-b tail bound.
+    """
+    check_C0_nodes(bs)
 
     def body(mt, pi, real):
         xs = [real(1) / b for b in bs]
@@ -234,9 +270,22 @@ def estimate_C0(
 
     value, extrapolation_step = _eval(cfg, body)
     tail = max(e.tail_bound for e in estimates)
+    K = max(e.truncation_K for e in estimates)
     return ConstantEstimate(
         value=value, truncation_K=K, tail_bound=extrapolation_step + tail
     )
+
+
+def estimate_C0(
+    bs: list[int], K: int, cfg: PrecisionConfig = DEFAULT_CONFIG
+) -> ConstantEstimate:
+    """Extract the main-term constant by extrapolating r(b) in 1/b to b = infinity.
+
+    Each r(b) is truncated at K (see :func:`r_series`); the extrapolation is
+    :func:`extrapolate_C0`.  bs is checked before anything is summed.
+    """
+    check_C0_nodes(bs)
+    return extrapolate_C0(bs, [r_series(b, K, cfg) for b in bs], cfg)
 
 
 def s_sum_asymptotic(

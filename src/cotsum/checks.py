@@ -53,15 +53,14 @@ def floor(size: int | None, seed: int, cfg: PrecisionConfig):
     worst_im = 0.0
     worst_round = 0.0
     for b in range(2, size + 1):
+        ok = True
         max_im = 0.0
         max_round = 0.0
         for a in range(1, 1001):
-            re, im = exact._floor_identity_parts(a, b, cfg)
-            re_f, im_f = float(re), float(im)
-            max_im = max(max_im, abs(im_f))
-            # a real part within the tolerance of floor(a/b) rounds to it
-            max_round = max(max_round, abs(re_f - a // b))
-        ok = max_im <= exact._FLOOR_IMAG_TOL and max_round <= exact._FLOOR_ROUND_TOL
+            re, im, real_ok, imag_ok = exact.floor_identity(a, b, cfg)
+            ok = ok and real_ok and imag_ok
+            max_im = max(max_im, abs(float(im)))
+            max_round = max(max_round, abs(float(re) - a // b))
         cases.append((f"b={b}", ok, max_im))
         worst_im = max(worst_im, max_im)
         worst_round = max(worst_round, max_round)

@@ -195,7 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("constants", help="report the extracted constants")
     p_const.add_argument(
-        "--K", type=int, default=10**6, help="series truncation for r(b)"
+        "--K",
+        type=int,
+        default=10**6,
+        help="largest truncation of r(b); its partial sums at K/8, K/4, K/2 "
+        "and K are extrapolated in 1/K (K >= 100)",
     )
     p_const.add_argument(
         "--bs",
@@ -361,6 +365,10 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         raise PreconditionError(f"could not parse --bs {args.bs!r}") from err
     if not bs or any(b < 2 for b in bs):
         raise PreconditionError(f"every b must be an integer >= 2, got {args.bs!r}")
+    # Check the extrapolation's nodes before any r(b) is summed.
+    extrapolate = len(bs) >= 3
+    if extrapolate:
+        asymptotics.check_C0_nodes(bs)
     gamma = euler_gamma(cfg)
     l2p = log_two_pi(cfg)
     closed_form = (gamma - l2p) / 2
@@ -376,12 +384,12 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     if cfg.extended:
         record.diagnostics["euler_gamma_digits"] = _full_digits(gamma, cfg)
         record.diagnostics["log_two_pi_digits"] = _full_digits(l2p, cfg)
-    for b in bs:
-        est = asymptotics.r_series(b, args.K, cfg)
+    estimates = [asymptotics.r_series(b, args.K, cfg) for b in bs]
+    for b, est in zip(bs, estimates):
         record.values[f"r_{b}"] = float(est.value)
         record.diagnostics[f"r_{b}_tail_bound"] = est.tail_bound
-    if len(bs) >= 3:
-        estimate = asymptotics.estimate_C0(bs, args.K, cfg)
+    if extrapolate:
+        estimate = asymptotics.extrapolate_C0(bs, estimates, cfg)
         record.values["C0_estimate"] = float(estimate.value)
         record.values["C0_gap"] = abs(float(estimate.value) - float(closed_form))
         record.diagnostics["C0_tail_bound"] = estimate.tail_bound

@@ -43,6 +43,7 @@ __all__ = [
     "cot_derivative",
     "cot_row_sum_zero",
     "estermann_at_zero",
+    "floor_identity",
     "floor_via_exponential_sum",
     "frac_via_cot_sin",
 ]
@@ -235,37 +236,43 @@ def _floor_identity_parts(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG)
     return _eval(cfg, body)
 
 
+def floor_identity(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """The exponential-sum expression for floor(a/b) and its tolerance checks.
+
+        floor(a/b) = a/b + 1/(2b) - 1/2
+                     + (1/(2b)) sum_{m=1}^{b-1} (1 - i*cot(pi*m/b)) e^(2*pi*i*m*a/b)
+
+    Returns ``(real, imag, real_ok, imag_ok)``: ``real_ok`` says whether the
+    real part lies within 1e-6 of the exact floor a // b, ``imag_ok`` whether
+    the imaginary residue lies within 1e-9 of zero.  A plain tuple, because
+    the floor suite makes about 10^5 calls.
+    """
+    if a < 1 or b < 2:
+        raise PreconditionError(f"need a >= 1 and b >= 2, got ({a}, {b})")
+    re, im = _floor_identity_parts(a, b, cfg)
+    return re, im, abs(re - a // b) <= _FLOOR_ROUND_TOL, abs(im) <= _FLOOR_IMAG_TOL
+
+
 def floor_via_exponential_sum(
     a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG
 ) -> int:
     """floor(a/b) evaluated through its finite exponential-sum identity.
 
-        floor(a/b) = a/b + 1/(2b) - 1/2
-                     + (1/(2b)) sum_{m=1}^{b-1} (1 - i*cot(pi*m/b)) e^(2*pi*i*m*a/b)
-
-    The complex value is checked before it is trusted: the imaginary residue
-    must stay below 1e-9 and the real part within 1e-6 of an integer equal to
-    the exact floor, else :class:`NumericalConsistencyError` is raised.
+    The value of :func:`floor_identity` is trusted only when both its checks
+    pass, else :class:`NumericalConsistencyError` is raised.
     """
-    if a < 1 or b < 2:
-        raise PreconditionError(f"need a >= 1 and b >= 2, got ({a}, {b})")
-    value_re, value_im = _floor_identity_parts(a, b, cfg)
-    if abs(value_im) > _FLOOR_IMAG_TOL:
+    re, im, real_ok, imag_ok = floor_identity(a, b, cfg)
+    if not imag_ok:
         raise NumericalConsistencyError(
-            f"imaginary residue {float(value_im):.3e} exceeds {_FLOOR_IMAG_TOL:.0e} "
+            f"imaginary residue {float(im):.3e} exceeds {_FLOOR_IMAG_TOL:.0e} "
             f"for floor({a}/{b})"
         )
-    nearest = int(round(float(value_re)))
-    if abs(value_re - nearest) > _FLOOR_ROUND_TOL:
+    if not real_ok:
         raise NumericalConsistencyError(
-            f"real part {float(value_re)!r} is {abs(float(value_re) - nearest):.3e} "
-            f"from the nearest integer for floor({a}/{b})"
+            f"real part {float(re)!r} is more than {_FLOOR_ROUND_TOL:.0e} "
+            f"from the exact floor({a}/{b}) = {a // b}"
         )
-    if nearest != a // b:
-        raise NumericalConsistencyError(
-            f"exponential sum rounded to {nearest}, exact floor({a}/{b}) = {a // b}"
-        )
-    return nearest
+    return a // b
 
 
 def cot_cos_identity_residual(

@@ -116,8 +116,9 @@ class ConstantEstimate:
     """A numerically extracted constant with truncation metadata.
 
     ``tail_bound`` is an a-posteriori estimate (not a certified enclosure) of
-    the truncation/extrapolation error; re-estimating with a larger
-    ``truncation_K`` shrinks it.
+    the truncation, extrapolation and rounding error.  A larger
+    ``truncation_K`` shrinks its truncation part, but the rounding part grows
+    with ``truncation_K``, so past some K the bound grows again.
     """
 
     value: float

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cotsum import (
@@ -21,6 +22,7 @@ from cotsum import (
     taylor_f1,
     taylor_f2,
 )
+from cotsum.asymptotics import _neville_to_zero, _r_checkpoints, _r_terms
 
 
 def closed_form_constant(cfg) -> float:
@@ -151,12 +153,38 @@ def r_term(k: int, b: int) -> float:
     )
 
 
+def r_closed_form(b: int, cfg):
+    """The limit of r(b) as K -> infinity, at the working precision of cfg.
+
+    Summing k*log(((k+1)b-1)/(kb-1)) by parts leaves log Gamma(N + 1 - 1/b),
+    and Stirling's formula takes N -> infinity:
+
+        r(b) = 1 - 1/b + log Gamma(1 - 1/b) + (1/2 - 1/b)*gamma - log(2*pi)/2
+    """
+    with mpmath.workprec(cfg.working_precision):
+        inv_b = mpmath.mpf(1) / b
+        return (
+            1
+            - inv_b
+            + mpmath.loggamma(1 - inv_b)
+            + (mpmath.mpf(1) / 2 - inv_b) * mpmath.euler
+            - mpmath.log(2 * mpmath.pi) / 2
+        )
+
+
 def test_r_series_first_term_and_partial_oracle(cfg):
     # k = 1, b = 2: log(3/1) - 1 + 1/2 - 1/(2*1^2) = log(3) - 1
     assert r_term(1, 2) == pytest.approx(math.log(3.0) - 1.0, rel=1e-12)
-    est = r_series(2, 100, cfg)
+    # the log1p form of the terms matches the log-ratio form
+    for b in (2, 100):
+        for k, term in enumerate(_r_terms(b, 0, 10, math, float), start=1):
+            assert term == pytest.approx(r_term(k, b), rel=1e-12)
+    ns, partials = _r_checkpoints(2, 100, cfg)
     oracle = math.fsum(r_term(k, 2) for k in range(1, 101))
-    assert est.value == pytest.approx(oracle, rel=1e-12)
+    assert ns[-1] == 100
+    assert partials[-1] == pytest.approx(oracle, rel=1e-12)
+    est = r_series(2, 100, cfg)
+    assert est.value == _neville_to_zero([1 / n for n in ns], partials)[-1]
     assert est.truncation_K == 100
 
 
@@ -169,12 +197,20 @@ def test_r_series_converges_to_offset_constant(cfg):
     assert est.tail_bound <= 1e-4
 
 
-def test_r_series_tail_bound_shrinks_with_K(cfg):
-    small = r_series(1000, 10**4, cfg)
-    large = r_series(1000, 10**5, cfg)
+def test_r_series_tail_bound_shrinks_with_K(cfg, cfg_ext):
+    # from K = 10^3 to 10^4 truncation, not rounding, dominates the bound
+    small = r_series(1000, 10**3, cfg)
+    large = r_series(1000, 10**4, cfg)
     assert large.tail_bound < small.tail_bound
-    # dyadic estimate sits at the ~c/K scale of the true tail
-    assert small.tail_bound == pytest.approx(1 / (3 * 10**4), rel=0.5)
+    # the bound covers the real error, binary64 rounding included, against the
+    # 113-bit value at K = infinity, which the 113-bit series confirms
+    for b in (2, 100):
+        ref = r_closed_form(b, cfg_ext)
+        check = r_series(b, 10**4, cfg_ext)
+        assert abs(check.value - ref) <= check.tail_bound
+        for K in (10**3, 10**4, 10**5):
+            est = r_series(b, K, cfg)
+            assert abs(est.value - ref) <= est.tail_bound
 
 
 def test_r_series_rate_in_b(cfg):
@@ -222,6 +258,12 @@ def test_estimate_c0_preconditions(cfg):
         estimate_C0([1000, 2000], 10**4, cfg)
     with pytest.raises(PreconditionError):
         estimate_C0([2000, 1000, 100], 10**4, cfg)
+
+
+def test_estimate_c0_reaches_the_extrapolation_floor(cfg):
+    # the 1/K extrapolation leaves the 3-node 1/b extrapolation's ~4e-10 error
+    est = estimate_C0([100, 1000, 10000], 2 * 10**4, cfg)
+    assert abs(est.value - closed_form_constant(cfg)) <= 1e-9
 
 
 # ---------------------------------------------------------- s_sum closure

@@ -374,6 +374,19 @@ def test_constants_rejects_bad_bs(capsys):
     assert run_cli(capsys, ["constants", "--bs", "1,2,3"])[0] == 2
 
 
+def test_constants_checks_bs_before_summing(capsys, monkeypatch):
+    summed = []
+    monkeypatch.setattr(
+        cotsum.asymptotics, "r_series", lambda *args: summed.append(args)
+    )
+    for bs in ("1000,100,10", "100,100,1000"):
+        code, out, err = run_cli(capsys, ["constants", "--K", "100000", "--bs", bs])
+        assert code == 2
+        assert out == ""
+        assert "strictly increasing" in err
+    assert summed == []
+
+
 # ------------------------------------------------------------ determinism
 
 

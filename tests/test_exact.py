@@ -7,8 +7,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import cotsum.exact
 from cotsum import (
     CapacityError,
+    NumericalConsistencyError,
     PoleError,
     PrecisionConfig,
     PreconditionError,
@@ -19,6 +21,7 @@ from cotsum import (
     cot_derivative,
     cot_row_sum_zero,
     estermann_at_zero,
+    floor_identity,
     floor_via_exponential_sum,
     frac_via_cot_sin,
 )
@@ -188,6 +191,24 @@ def test_floor_preconditions(cfg):
         floor_via_exponential_sum(0, 3, cfg)
     with pytest.raises(PreconditionError):
         floor_via_exponential_sum(3, 1, cfg)
+
+
+def test_floor_identity_reports_its_checks(cfg, monkeypatch):
+    re, im, real_ok, imag_ok = floor_identity(7, 3, cfg)
+    assert re == pytest.approx(2.0, abs=1e-12)
+    assert abs(im) <= 1e-12
+    assert real_ok and imag_ok
+    # a real part 1e-5 off the floor, or an imaginary residue of 1e-8, fails
+    for re, im, real_ok, imag_ok in (
+        (2.00001, 0.0, False, True),
+        (2.0, 1e-8, True, False),
+    ):
+        monkeypatch.setattr(
+            cotsum.exact, "_floor_identity_parts", lambda a, b, cfg: (re, im)
+        )
+        assert floor_identity(7, 3, cfg) == (re, im, real_ok, imag_ok)
+        with pytest.raises(NumericalConsistencyError):
+            floor_via_exponential_sum(7, 3, cfg)
 
 
 # ------------------------------------------------- proposition identities
