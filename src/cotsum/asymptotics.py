@@ -258,8 +258,13 @@ def extrapolate_C0(
     Richardson-style: polynomial extrapolation at nodes 1/b (two levels for
     three nodes), then subtraction of the structural offset 1 between the
     block series' limit and the closed-form constant (gamma - log(2*pi))/2.
-    The tail_bound combines the extrapolation's last diagonal step with the
-    worst per-b tail bound.
+
+    In x = 1/b, r = const - x + sum_{n>=2} zeta(n) x^n / n, so the last
+    diagonal step (three nodes against the two smallest x) is about
+    c2 * x1 * x2 while the three-node error is about c3 * x0 * x1 * x2, with
+    c3/c2 = 2*zeta(3)/(3*zeta(2)) ~ 0.49.  The tail_bound is therefore the
+    step times x0 = 1/bs[0], about twice the expected extrapolation error,
+    plus the worst per-b tail bound.
     """
     check_C0_nodes(bs)
 
@@ -272,7 +277,7 @@ def extrapolate_C0(
     tail = max(e.tail_bound for e in estimates)
     K = max(e.truncation_K for e in estimates)
     return ConstantEstimate(
-        value=value, truncation_K=K, tail_bound=extrapolation_step + tail
+        value=value, truncation_K=K, tail_bound=extrapolation_step / bs[0] + tail
     )
 
 

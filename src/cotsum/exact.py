@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import mpmath
 
@@ -57,6 +58,11 @@ MAX_DERIVATIVE_ORDER = 16
 _FLOOR_IMAG_TOL = 1e-9
 _FLOOR_ROUND_TOL = 1e-6
 
+# c0 works in int64 residues m*h with m <= k/2 and h < k, so k < 2^32.
+_C0_MAX_K = 2**32
+# Terms per numpy chunk of the binary64 c0.
+_C0_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class EstermannValue:
@@ -86,17 +92,58 @@ class FracIdentityResult:
 def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """The cotangent sum c0(h/k) = -sum_{m=1}^{k-1} (m/k) cot(pi*m*h/k).
 
-    Cost O(k); the terms are summed with one correct rounding.
+    The terms m and k - m share one cotangent up to sign, so the sum is taken
+    over half the row:
+
+        c0(h/k) = sum_{m=1}^{(k-1)//2} cot(pi*r_m/k) * (k - 2m)/k,  r_m = m*h mod k,
+
+    each cotangent by :func:`_cot_kernel`'s folding and quadrant choice, in
+    one correctly rounded sum.  No row is built: cost O(k) time, and memory
+    bounded by one chunk of terms.  Because the fold keeps the sign exactly,
+    c0((k-h)/k) is bitwise -c0(h/k).  k must be below 2^32
+    (:class:`CapacityError`).
     """
-    if frac.k < 2:
-        raise PreconditionError(f"c0 requires k >= 2, got k = {frac.k}")
     h, k = frac.h, frac.k
-    row = _cot_row(k, cfg.working_precision)
+    if k < 2:
+        raise PreconditionError(f"c0 requires k >= 2, got k = {k}")
+    if k >= _C0_MAX_K:
+        raise CapacityError(f"c0 requires k < 2^32, got k = {k}")
+    if not cfg.extended:
+        return sum_strategy(chain.from_iterable(_half_row_chunks(h, k)), cfg)
 
     def body(mt, pi, real):
-        return -sum_strategy(((row[m * h % k] * m) / k for m in range(1, k)), cfg)
+        return sum_strategy(
+            (
+                _cot_kernel(m * h % k, k, mt, pi) * (k - 2 * m) / k
+                for m in range(1, (k - 1) // 2 + 1)
+            ),
+            cfg,
+        )
 
     return _eval(cfg, body)
+
+
+def _half_row_chunks(h: int, k: int):
+    """Binary64 terms of c0's half-row sum, as lists of up to _C0_CHUNK in order.
+
+    Each term repeats :func:`_cot_kernel`'s operations elementwise: fold r to
+    min(r, k - r) keeping the sign, then 1/tan(pi*r/k) if 4r <= k, else
+    tan(pi*(k - 2r)/(2k)); then cot * (k - 2m) / k.
+    """
+    # Imported here: numpy's import would cost every other command ~0.1 s.
+    import numpy as np
+
+    end = (k - 1) // 2 + 1
+    for start in range(1, end, _C0_CHUNK):
+        m = np.arange(start, min(start + _C0_CHUNK, end), dtype=np.int64)
+        r = m * h % k
+        flip = 2 * r > k
+        r = np.where(flip, k - r, r)
+        near = 4 * r <= k
+        t = np.tan(np.pi * np.where(near, r, k - 2 * r) / np.where(near, k, 2 * k))
+        cot = np.where(near, 1 / t, t)
+        cot = np.where(flip, -cot, cot)
+        yield (cot * (k - 2 * m) / k).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +197,7 @@ def estermann_at_zero(
     k = 1:      (-1)^(alpha+1) * B_{alpha+1} / (2(alpha+1))
     odd alpha:  B_{alpha+1} / (2(alpha+1))
     even alpha: (-i/2)^(alpha+1) sum_{m=1}^{k-1} (m/k) cot^(alpha)(pi*m*h/k)
-                + 1/4 when alpha = 0.
+                + 1/4 when alpha = 0, where the sum is -c0(h/k).
     """
     if alpha < 0:
         raise PreconditionError(f"alpha must be >= 0, got {alpha}")
@@ -171,6 +218,10 @@ def estermann_at_zero(
         raise CapacityError(
             f"even alpha {alpha} exceeds derivative maximum {MAX_DERIVATIVE_ORDER}"
         )
+    if alpha == 0:
+        # -(i/2) sum (m/k) cot(pi*m*h/k) = (i/2) c0(h/k), halved exactly.
+        imag = _eval(cfg, lambda mt, pi, real: c0(frac, cfg) / 2)
+        return EstermannValue(real_part=as_real(0.25), imag_part=imag, alpha=0)
     h, k = frac.h, frac.k
     coeffs = _cot_derivative_coeffs(alpha)
     row = _cot_row(k, cfg.working_precision)
@@ -186,11 +237,7 @@ def estermann_at_zero(
         return (sign * s) / scale
 
     imag = _eval(cfg, body)
-    return EstermannValue(
-        real_part=as_real(0.25) if alpha == 0 else as_real(0.0),
-        imag_part=imag,
-        alpha=alpha,
-    )
+    return EstermannValue(real_part=as_real(0.0), imag_part=imag, alpha=alpha)
 
 
 @lru_cache(maxsize=32)

@@ -266,6 +266,13 @@ def test_estimate_c0_reaches_the_extrapolation_floor(cfg):
     assert abs(est.value - closed_form_constant(cfg)) <= 1e-9
 
 
+def test_estimate_c0_tail_bound_covers_the_gap_closely(cfg):
+    # the bound is about twice the extrapolation error, not ~200 times it
+    est = estimate_C0([100, 1000, 10000], 2 * 10**4, cfg)
+    gap = abs(est.value - closed_form_constant(cfg))
+    assert gap <= est.tail_bound <= 10 * gap
+
+
 # ---------------------------------------------------------- s_sum closure
 
 

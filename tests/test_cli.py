@@ -226,13 +226,19 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert payload["diagnostics"]["failed_cases"] == ["case"]
 
 
-@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
-def test_closed_stdout_ends_by_sigpipe_without_traceback():
+def _child_env():
+    """This environment, with the imported package first on PYTHONPATH."""
     env = dict(os.environ)
     package_root = str(Path(cotsum.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
+    return env
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe_without_traceback():
+    env = _child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -248,6 +254,29 @@ def test_closed_stdout_ends_by_sigpipe_without_traceback():
         os.close(write_end)
     assert proc.returncode == -signal.SIGPIPE
     assert b"Traceback" not in proc.stderr
+
+
+def test_only_binary64_c0_imports_numpy():
+    # numpy's import costs ~0.1 s, so import, help, verify and constants skip it
+    script = (
+        "import sys, cotsum.cli\n"
+        "if sys.argv[1:]: cotsum.cli.main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    for argv, loaded in (
+        ([], "False"),
+        (["verify", "--suite", "floor", "--size", "5"], "False"),
+        (["constants", "--help"], "False"),
+        (["eval", "--h", "1", "--k", "5"], "True"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=120,
+        )
+        assert proc.stderr.splitlines()[-1] == loaded, (argv, proc.stderr)
 
 
 def test_numerical_consistency_exit_code(capsys, monkeypatch):

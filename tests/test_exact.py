@@ -1,9 +1,11 @@
 """Finite-sum tests: c0, the value at the origin, derivatives, identities."""
 
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +27,7 @@ from cotsum import (
     floor_via_exponential_sum,
     frac_via_cot_sin,
 )
+from cotsum.numerics import _cot_kernel
 
 ULP = 2.0**-52
 
@@ -49,8 +52,8 @@ def test_c0_rejects_integer_argument(cfg):
 
 
 def test_c0_antisymmetry_exhaustive_small(cfg):
-    # c0((k-h)/k) = -c0(h/k); bitwise here because paired cotangent rows are
-    # exact negations
+    # c0((k-h)/k) = -c0(h/k) bitwise: the residues of k-h are k - r_m, whose
+    # folded cotangents, and so terms, are exact negations
     for k in range(2, 161):
         for h in range(1, k):
             if gcd(h, k) != 1:
@@ -69,6 +72,40 @@ def test_c0_antisymmetry_sampled_large(k, h_seed):
     lhs = c0(ReducedFraction(k - h, k))
     rhs = -c0(ReducedFraction(h, k))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def test_c0_rejects_k_beyond_int64_residues(cfg, cfg_ext):
+    # m*h with m <= k/2 and h < k must fit in int64; raised before any work
+    for config in (cfg, cfg_ext):
+        with pytest.raises(CapacityError):
+            c0(ReducedFraction(1, 2**32 + 1), config)
+
+
+def test_c0_powers_of_two_match_the_full_row(cfg):
+    # the half-row sum reproduces -fsum over the full row bit for bit at k = 2^j
+    for j in range(8, 17):
+        k = 2**j
+        full_row = -math.fsum(
+            _cot_kernel(m, k, math, math.pi) * m / k for m in range(1, k)
+        )
+        assert c0(ReducedFraction(1, k), cfg) == full_row
+
+
+def test_c0_binary64_against_120_bits(cfg):
+    # error in ulps of the larger of |c0| and the row's largest cot, about
+    # k/pi: the terms set the error's scale, and they can cancel to a small c0
+    rng = random.Random(20260)
+    cases = 0
+    while cases < 40:
+        k = rng.randrange(2, 3000)
+        h = rng.randrange(1, k)
+        if gcd(h, k) != 1:
+            continue
+        cases += 1
+        frac = ReducedFraction(h, k)
+        ref = c0(frac, PrecisionConfig(working_precision=120))
+        err = abs(mpmath.mpf(c0(frac, cfg)) - ref)
+        assert err <= 32 * math.ulp(max(abs(float(ref)), k / math.pi)), (h, k)
 
 
 def test_c0_extended_precision_matches_double(cfg, cfg_ext):
