@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_RESIDUAL_BUDGET,
-        help="maximum total summation steps (sum of all sampled b)",
+        help="maximum total terms summed by c0 ((b-1)//2 per sampled b)",
     )
     _add_common_flags(p_res, fmt=False)
     p_res.add_argument(
@@ -288,10 +288,10 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
             f"need 2 <= b_min < b_max, got ({args.b_min}, {args.b_max})"
         )
     bs = _residual_bs(args.b_min, args.b_max, args.geometric_step)
-    cost = sum(bs)
+    cost = sum((b - 1) // 2 for b in bs)
     if cost > args.budget:
         raise PreconditionError(
-            f"scan would take {cost} summation steps, over the budget "
+            f"scan would take {cost} terms summed by c0, over the budget "
             f"{args.budget}; use --geometric-step to thin the sample"
         )
     records, report = asymptotics.residual_scan(bs, cfg)

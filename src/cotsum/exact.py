@@ -198,6 +198,9 @@ def estermann_at_zero(
     odd alpha:  B_{alpha+1} / (2(alpha+1))
     even alpha: (-i/2)^(alpha+1) sum_{m=1}^{k-1} (m/k) cot^(alpha)(pi*m*h/k)
                 + 1/4 when alpha = 0, where the sum is -c0(h/k).
+
+    For even alpha >= 2 the sum streams over half the row like :func:`c0`,
+    with no row kept.
     """
     if alpha < 0:
         raise PreconditionError(f"alpha must be >= 0, got {alpha}")
@@ -224,15 +227,21 @@ def estermann_at_zero(
         return EstermannValue(real_part=as_real(0.25), imag_part=imag, alpha=0)
     h, k = frac.h, frac.k
     coeffs = _cot_derivative_coeffs(alpha)
-    row = _cot_row(k, cfg.working_precision)
     # (-i/2)^(alpha+1) with alpha+1 odd is purely imaginary: -i/2^(alpha+1)
     # when alpha = 0 (mod 4) and +i/2^(alpha+1) when alpha = 2 (mod 4).
     sign = -1 if alpha % 4 == 0 else 1
     scale = 2 ** (alpha + 1)
 
+    # P_alpha is odd for even alpha and cot(pi*(k-m)*h/k) = -cot(pi*m*h/k), so
+    # the terms m and k - m combine into P(cot_m) * (2m - k)/k, as in c0; the
+    # middle term of an even k is P(0) = 0.
     def body(mt, pi, real):
         s = sum_strategy(
-            ((_horner(coeffs, row[m * h % k]) * m) / k for m in range(1, k)), cfg
+            (
+                _horner(coeffs, _cot_kernel(m * h % k, k, mt, pi)) * (2 * m - k) / k
+                for m in range(1, (k - 1) // 2 + 1)
+            ),
+            cfg,
         )
         return (sign * s) / scale
 
@@ -257,11 +266,18 @@ def _unit_row(b: int, working_precision: int):
     return _eval(cfg, build)
 
 
-def _floor_identity_parts(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """Real and imaginary parts of the exponential-sum expression for floor(a/b)."""
-    cot = _cot_row(b, cfg.working_precision)
-    cos_row, sin_row = _unit_row(b, cfg.working_precision)
-    a_mod = a % b
+@lru_cache(maxsize=256)
+def _floor_sums(a_mod: int, b: int, working_precision: int):
+    """The floor identity's two sums, correctly rounded, for a = a_mod (mod b).
+
+        re + i*im = sum_{m=1}^{b-1} (1 - i*cot(pi*m/b)) e^(2*pi*i*m*a/b)
+
+    The exponential has period b in a, so the floor suite's a = 1..1000 share
+    one cached pair per residue class.
+    """
+    cfg = PrecisionConfig(working_precision=working_precision)
+    cot = _cot_row(b, working_precision)
+    cos_row, sin_row = _unit_row(b, working_precision)
 
     def body(mt, pi, real):
         re_terms = []
@@ -273,8 +289,16 @@ def _floor_identity_parts(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG)
             wi = sin_row[j]
             re_terms.append(wr + c * wi)
             im_terms.append(wi - c * wr)
-        re = sum_strategy(re_terms, cfg)
-        im = sum_strategy(im_terms, cfg)
+        return sum_strategy(re_terms, cfg), sum_strategy(im_terms, cfg)
+
+    return _eval(cfg, body)
+
+
+def _floor_identity_parts(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """Real and imaginary parts of the exponential-sum expression for floor(a/b)."""
+    re, im = _floor_sums(a % b, b, cfg.working_precision)
+
+    def body(mt, pi, real):
         half_b = 2 * b
         value_re = real(a) / b + real(1) / half_b - real(1) / 2 + re / half_b
         value_im = im / half_b

@@ -357,6 +357,20 @@ def test_residuals_budget_check(capsys):
     assert "geometric-step" in err
 
 
+def test_residuals_budget_prices_the_terms_c0_sums(capsys, tmp_path):
+    # c0 sums (b-1)//2 terms: b = 256, 512, 1024 cost 127 + 255 + 511 = 893
+    argv = [
+        "residuals", "--b-min", "256", "--b-max", "1024", "--geometric-step", "2",
+        "--out", str(tmp_path / "rows.csv"),
+    ]
+    code, out, _ = run_cli(capsys, argv + ["--budget", "893"])
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["total_steps"] == 893
+    code, _, err = run_cli(capsys, argv + ["--budget", "892"])
+    assert code == 2
+    assert "893" in err
+
+
 def test_residuals_geometric_ladder(capsys, tmp_path):
     out_file = tmp_path / "ladder.csv"
     code, out, _ = run_cli(

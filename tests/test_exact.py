@@ -165,6 +165,39 @@ def test_estermann_even_alpha_structure(cfg):
     assert w.real_part == 0.0
 
 
+def test_estermann_even_alpha_against_120_bits(cfg, cfg_ext):
+    # the half-row sum against the full row sum_{m=1}^{k-1} (m/k) P(cot) at
+    # 120 bits, in ulps of the larger of the value and the largest scaled
+    # term: binary64 within 16 (7 seen), 113 bits within 256 (58 seen)
+    from cotsum.exact import _cot_derivative_coeffs, _horner
+
+    rng = random.Random(4099)
+    cases = 0
+    while cases < 8:
+        k = rng.randrange(2, 3000)
+        h = rng.randrange(1, k)
+        if gcd(h, k) != 1:
+            continue
+        cases += 1
+        frac = ReducedFraction(h, k)
+        with mpmath.workprec(120):
+            cots = [mpmath.cot(mpmath.pi * (m * h % k) / k) for m in range(1, k)]
+        for alpha in (2, 4):
+            coeffs = _cot_derivative_coeffs(alpha)
+            scale = (-1 if alpha % 4 == 0 else 1) * mpmath.mpf(2) ** -(alpha + 1)
+            with mpmath.workprec(120):
+                terms = [m * _horner(coeffs, u) / k for m, u in enumerate(cots, 1)]
+                ref = scale * mpmath.fsum(terms)
+                size = max(abs(ref), abs(scale) * max(abs(t) for t in terms))
+            for config, ulps, bits in ((cfg, 16, 53), (cfg_ext, 256, 113)):
+                got = estermann_at_zero(frac, alpha, config).imag_part
+                with mpmath.workprec(120):
+                    err = abs(mpmath.mpf(got) - ref)
+                    assert err <= ulps * size * mpmath.mpf(2) ** (1 - bits), (
+                        h, k, alpha, bits,
+                    )
+
+
 def test_estermann_alpha_validation(cfg):
     with pytest.raises(PreconditionError):
         estermann_at_zero(ReducedFraction(1, 3), -1, cfg)
@@ -246,6 +279,42 @@ def test_floor_identity_reports_its_checks(cfg, monkeypatch):
         assert floor_identity(7, 3, cfg) == (re, im, real_ok, imag_ok)
         with pytest.raises(NumericalConsistencyError):
             floor_via_exponential_sum(7, 3, cfg)
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+@pytest.mark.parametrize("b", [2, 7, 97])
+def test_floor_sums_are_computed_once_per_residue_class(b, precision):
+    cfg = PrecisionConfig(working_precision=precision)
+    memo = cotsum.exact._floor_sums
+    assert isinstance(memo.cache_info().maxsize, int)
+    a = 12345
+    # the two sums from scratch, term by term in the kernel's order
+    with mpmath.workprec(precision):
+        if precision == 53:
+            mt, pi, fsum, real = math, math.pi, math.fsum, float
+        else:
+            mt, pi, fsum, real = mpmath, +mpmath.pi, mpmath.fsum, mpmath.mpf
+        re_terms = []
+        im_terms = []
+        for m in range(1, b):
+            c = _cot_kernel(m, b, mt, pi)
+            j = m * a % b
+            wr, wi = mt.cos(2 * pi * j / b), mt.sin(2 * pi * j / b)
+            re_terms.append(wr + c * wi)
+            im_terms.append(wi - c * wr)
+        re, im = fsum(re_terms), fsum(im_terms)
+        expected = [
+            (real(x) / b + real(1) / (2 * b) - real(1) / 2 + re / (2 * b), im / (2 * b))
+            for x in (a, a + 3 * b)
+        ]
+    memo.cache_clear()
+    first = floor_identity(a, b, cfg)
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (0, 1)
+    second = floor_identity(a + 3 * b, b, cfg)
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 1)
+    assert memo(a % b, b, precision) == (re, im)
+    assert [first[:2], second[:2]] == expected
+    assert first[2:] == second[2:] == (True, True)
 
 
 # ------------------------------------------------- proposition identities
