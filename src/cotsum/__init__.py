@@ -18,6 +18,7 @@ from .asymptotics import (
     estimate_C0,
     extrapolate_C0,
     f_term,
+    g_partial,
     inner_block_expansion,
     r_series,
     residual_scan,
@@ -28,14 +29,10 @@ from .asymptotics import (
 )
 from .exact import (
     EstermannValue,
-    FracIdentityResult,
     c0,
     cot_cos_identity_residual,
-    cot_derivative,
-    cot_row_sum_zero,
     estermann_at_zero,
     floor_identity,
-    floor_via_exponential_sum,
     frac_via_cot_sin,
 )
 from .numerics import (
@@ -43,25 +40,13 @@ from .numerics import (
     ConstantEstimate,
     DEFAULT_CONFIG,
     NumericalConsistencyError,
-    PoleError,
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
     bernoulli,
-    cot_reduced,
     euler_gamma,
     log_two_pi,
     sum_strategy,
-)
-from .series import (
-    SeriesTruncation,
-    c0_series_partial,
-    c0_series_with_truncation,
-    divisible_harmonic_sum,
-    g_lemma_decomposition_check,
-    g_partial,
-    harmonic_sum,
-    sin_series_partial,
 )
 
 __version__ = "0.1.0"
@@ -71,44 +56,31 @@ __all__ = [
     "ConstantEstimate",
     "DEFAULT_CONFIG",
     "EstermannValue",
-    "FracIdentityResult",
     "LogFitReport",
     "NumericalConsistencyError",
-    "PoleError",
     "PrecisionConfig",
     "PreconditionError",
     "ReducedFraction",
     "ResidualRecord",
-    "SeriesTruncation",
     "bernoulli",
     "c0",
     "c0_main_terms",
-    "c0_series_partial",
-    "c0_series_with_truncation",
     "check_C0_nodes",
     "cot_cos_identity_residual",
-    "cot_derivative",
-    "cot_reduced",
-    "cot_row_sum_zero",
-    "divisible_harmonic_sum",
     "estermann_at_zero",
     "estimate_C0",
     "euler_gamma",
     "extrapolate_C0",
     "f_term",
     "floor_identity",
-    "floor_via_exponential_sum",
     "frac_via_cot_sin",
-    "g_lemma_decomposition_check",
     "g_partial",
-    "harmonic_sum",
     "inner_block_expansion",
     "log_two_pi",
     "r_series",
     "residual_scan",
     "s_sum_asymptotic",
     "s_sum_direct",
-    "sin_series_partial",
     "sum_strategy",
     "taylor_f1",
     "taylor_f2",

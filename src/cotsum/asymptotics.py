@@ -37,6 +37,7 @@ __all__ = [
     "estimate_C0",
     "extrapolate_C0",
     "f_term",
+    "g_partial",
     "inner_block_expansion",
     "r_series",
     "residual_scan",
@@ -154,6 +155,36 @@ def s_sum_direct(L: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
                 yield real(q) / a
 
         return 2 * b * sum_strategy(terms(), cfg)
+
+    return _eval(cfg, body)
+
+
+def g_partial(b: int, L: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """G_L(b) = sum_{1<=a<=L, b !| a} [ (b/a)*(1 + 2*floor(a/b)) - 2 ].
+
+    Each term equals (b + 2*b*floor(a/b) - 2*a)/a with the floor taken in
+    exact integers, summed in increasing a; G_L(b)/pi is a partial sum of the
+    conditionally convergent series (1/pi) sum_{b !| a} b*(1 - 2*{a/b})/a
+    for c0(1/b).
+    """
+    if b < 2:
+        raise PreconditionError(f"need b >= 2, got {b}")
+    if L < b:
+        raise PreconditionError(f"need L >= b, got L = {L}, b = {b}")
+
+    def body(mt, pi, real):
+        def terms():
+            q = 0
+            rem = 0
+            for a in range(1, L + 1):
+                rem += 1
+                if rem == b:
+                    rem = 0
+                    q += 1
+                    continue
+                yield real(b + 2 * b * q - 2 * a) / a
+
+        return sum_strategy(terms(), cfg)
 
     return _eval(cfg, body)
 

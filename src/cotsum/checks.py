@@ -37,7 +37,7 @@ def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
             while (n * a) % b == 0:
                 a = rng.randrange(1, 10**6)
                 n = rng.randrange(1, 10**6)
-            got = exact.frac_via_cot_sin(a, b, n, cfg).value
+            got = exact.frac_via_cot_sin(a, b, n, cfg)
             max_frac = max(max_frac, abs(float(got) - ((n * a) % b) / b))
         ok = max_cos <= 1e-10 and max_frac <= 1e-10
         cases.append((f"b={b}", ok, max(max_cos, max_frac)))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import signal
 import sys
@@ -43,6 +44,9 @@ from .numerics import (
 __all__ = ["OutputRecord", "build_parser", "main", "entrypoint"]
 
 DEFAULT_RESIDUAL_BUDGET = 10**8
+# Most multiplications a geometric ladder may take; a step barely above 1
+# would otherwise loop for ages before the budget is checked.
+MAX_LADDER_STEPS = 10**6
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -269,11 +273,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _residual_bs(b_min: int, b_max: int, step: float | None) -> list[int]:
     if step is None:
         return list(range(b_min, b_max + 1))
-    if step <= 1.0:
-        raise PreconditionError(f"geometric step must exceed 1, got {step}")
+    if not 1.0 < step < math.inf:
+        raise PreconditionError(
+            f"geometric step must be finite and exceed 1, got {step}"
+        )
+    steps = (math.log(b_max) - math.log(b_min)) / math.log(step)
+    if steps > MAX_LADDER_STEPS:
+        raise PreconditionError(
+            f"geometric step {step!r} needs about {steps:.3g} steps from {b_min} "
+            f"to {b_max}, over the limit {MAX_LADDER_STEPS}"
+        )
     bs = []
     current = float(b_min)
-    while round(current) <= b_max:
+    # a huge finite step overflows to inf, which round() rejects
+    while math.isfinite(current) and round(current) <= b_max:
         b = int(round(current))
         if not bs or b > bs[-1]:
             bs.append(b)

@@ -23,8 +23,6 @@ import mpmath
 from .numerics import (
     DEFAULT_CONFIG,
     CapacityError,
-    NumericalConsistencyError,
-    PoleError,
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
@@ -37,15 +35,11 @@ from .numerics import (
 
 __all__ = [
     "EstermannValue",
-    "FracIdentityResult",
     "MAX_DERIVATIVE_ORDER",
     "c0",
     "cot_cos_identity_residual",
-    "cot_derivative",
-    "cot_row_sum_zero",
     "estermann_at_zero",
     "floor_identity",
-    "floor_via_exponential_sum",
     "frac_via_cot_sin",
 ]
 
@@ -77,16 +71,6 @@ class EstermannValue:
     real_part: float
     imag_part: float
     alpha: int
-
-
-@dataclass(frozen=True)
-class FracIdentityResult:
-    """Fractional part {n*a/b} recovered from the cotangent-sine sum."""
-
-    n: int
-    a: int
-    b: int
-    value: float
 
 
 def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -168,25 +152,6 @@ def _horner(coeffs: tuple[int, ...], u):
     for c in reversed(coeffs[:-1]):
         acc = acc * u + c
     return acc
-
-
-def cot_derivative(n: int, r: int, k: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """n-th derivative of cot at pi*r/k via exact derivative polynomials."""
-    if n < 0:
-        raise PreconditionError(f"derivative order must be >= 0, got {n}")
-    if n > MAX_DERIVATIVE_ORDER:
-        raise CapacityError(
-            f"derivative order {n} exceeds maximum {MAX_DERIVATIVE_ORDER}"
-        )
-    if r % k == 0:
-        raise PoleError(f"cot derivative at pi*{r}/{k} hits a pole")
-    coeffs = _cot_derivative_coeffs(n)
-
-    def body(mt, pi, real):
-        u = _cot_kernel(r % k, k, mt, pi)
-        return _horner(coeffs, u)
-
-    return _eval(cfg, body)
 
 
 def estermann_at_zero(
@@ -324,28 +289,6 @@ def floor_identity(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     return re, im, abs(re - a // b) <= _FLOOR_ROUND_TOL, abs(im) <= _FLOOR_IMAG_TOL
 
 
-def floor_via_exponential_sum(
-    a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG
-) -> int:
-    """floor(a/b) evaluated through its finite exponential-sum identity.
-
-    The value of :func:`floor_identity` is trusted only when both its checks
-    pass, else :class:`NumericalConsistencyError` is raised.
-    """
-    re, im, real_ok, imag_ok = floor_identity(a, b, cfg)
-    if not imag_ok:
-        raise NumericalConsistencyError(
-            f"imaginary residue {float(im):.3e} exceeds {_FLOOR_IMAG_TOL:.0e} "
-            f"for floor({a}/{b})"
-        )
-    if not real_ok:
-        raise NumericalConsistencyError(
-            f"real part {float(re)!r} is more than {_FLOOR_ROUND_TOL:.0e} "
-            f"from the exact floor({a}/{b}) = {a // b}"
-        )
-    return a // b
-
-
 def cot_cos_identity_residual(
     a: int, b: int, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG
 ):
@@ -367,7 +310,7 @@ def cot_cos_identity_residual(
 
 def frac_via_cot_sin(
     a: int, b: int, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG
-) -> FracIdentityResult:
+):
     """Fractional part {n*a/b} from the cotangent-sine sum (requires b !| n*a).
 
         {n*a/b} = 1/2 - (1/(2b)) sum_{m=1}^{b-1} cot(pi*m/b) sin(2*pi*m*n*a/b)
@@ -386,12 +329,4 @@ def frac_via_cot_sin(
         s = sum_strategy((cot[m] * sin_row[m * step % b] for m in range(1, b)), cfg)
         return real(1) / 2 - s / (2 * b)
 
-    return FracIdentityResult(n=n, a=a, b=b, value=_eval(cfg, body))
-
-
-def cot_row_sum_zero(b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """sum_{m=1}^{b-1} cot(pi*m/b); zero in exact arithmetic, returned as residue."""
-    if b < 2:
-        raise PreconditionError(f"need b >= 2, got {b}")
-    cot = _cot_row(b, cfg.working_precision)
-    return _eval(cfg, lambda mt, pi, real: sum_strategy(cot[1:], cfg))
+    return _eval(cfg, body)

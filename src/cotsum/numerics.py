@@ -1,8 +1,8 @@
 """Shared numerical kernel.
 
 Provides the precision configuration used across the package, exact-rational
-Bernoulli numbers, cotangent evaluation with exact integer argument reduction,
-and one correctly rounded sum.
+Bernoulli numbers, cotangent evaluation at rational multiples of pi, and one
+correctly rounded sum.
 
 Two precision modes are supported: binary64 (the default, 53-bit significand,
 evaluated with the ``math`` module) and an extended mode (> 53 bits, evaluated
@@ -27,21 +27,15 @@ __all__ = [
     "CapacityError",
     "ConstantEstimate",
     "NumericalConsistencyError",
-    "PoleError",
     "PrecisionConfig",
     "PreconditionError",
     "ReducedFraction",
     "DEFAULT_CONFIG",
     "bernoulli",
-    "cot_reduced",
     "euler_gamma",
     "log_two_pi",
     "sum_strategy",
 ]
-
-
-class PoleError(ValueError):
-    """The cotangent was requested at an integer multiple of pi."""
 
 
 class CapacityError(ValueError):
@@ -197,21 +191,6 @@ def _cot_kernel(r: int, k: int, mt, pi):
     if 4 * r <= k:
         return 1 / mt.tan(pi * r / k)
     return mt.tan(pi * (k - two_r) / (2 * k))
-
-
-def cot_reduced(m: int, h: int, k: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """cot(pi*m*h/k) with the angle reduced exactly in integer arithmetic.
-
-    The residue r = (m*h) mod k is formed with Python integers before any
-    floating-point work, so the result is accurate even when m*h is
-    astronomically large.  Raises :class:`PoleError` when k divides m*h.
-    """
-    if k < 2:
-        raise PreconditionError(f"need k >= 2, got {k}")
-    r = (m * h) % k
-    if r == 0:
-        raise PoleError(f"cot(pi*{m}*{h}/{k}) hits a pole (k divides m*h)")
-    return _eval(cfg, lambda mt, pi, real: _cot_kernel(r, k, mt, pi))
 
 
 @lru_cache(maxsize=32)

@@ -386,6 +386,47 @@ def test_residuals_geometric_ladder(capsys, tmp_path):
     assert abs(payload["values"]["slope"]) <= 0.02
 
 
+@pytest.mark.parametrize("step", ["inf", "1e400", "nan"])
+def test_residuals_rejects_a_step_that_is_not_finite(capsys, tmp_path, step):
+    out_file = tmp_path / "rows.csv"
+    code, _, err = run_cli(
+        capsys,
+        ["residuals", "--b-min", "256", "--b-max", "4096",
+         "--geometric-step", step, "--out", str(out_file)],
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_residuals_huge_finite_step_samples_b_min_only(capsys, tmp_path):
+    # 256 * 1e308 overflows to inf, which ends the ladder
+    code, out, _ = run_cli(
+        capsys,
+        ["residuals", "--b-min", "256", "--b-max", "512", "--geometric-step",
+         "1e308", "--out", str(tmp_path / "rows.csv")],
+    )
+    assert code == 0
+    assert json.loads(out)["values"]["rows"] == 1
+
+
+def test_residuals_rejects_a_ladder_too_long_to_build():
+    # a step one ulp above 1 needs ~1.25e16 multiplications from 256 to 4096;
+    # it is refused before the first, so a child that hangs fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotsum", "residuals", "--b-min", "256",
+         "--b-max", "4096", "--geometric-step", "1.0000000000000002",
+         "--out", os.devnull],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 # -------------------------------------------------------------- constants
 
 

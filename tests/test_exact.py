@@ -1,4 +1,4 @@
-"""Finite-sum tests: c0, the value at the origin, derivatives, identities."""
+"""Finite-sum tests: c0, the value at the origin, identities."""
 
 import math
 import random
@@ -12,21 +12,17 @@ from hypothesis import given, strategies as st
 import cotsum.exact
 from cotsum import (
     CapacityError,
-    NumericalConsistencyError,
-    PoleError,
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
     bernoulli,
     c0,
     cot_cos_identity_residual,
-    cot_derivative,
-    cot_row_sum_zero,
     estermann_at_zero,
     floor_identity,
-    floor_via_exponential_sum,
     frac_via_cot_sin,
 )
+from cotsum.exact import _cot_derivative_coeffs, _horner
 from cotsum.numerics import _cot_kernel
 
 ULP = 2.0**-52
@@ -169,8 +165,6 @@ def test_estermann_even_alpha_against_120_bits(cfg, cfg_ext):
     # the half-row sum against the full row sum_{m=1}^{k-1} (m/k) P(cot) at
     # 120 bits, in ulps of the larger of the value and the largest scaled
     # term: binary64 within 16 (7 seen), 113 bits within 256 (58 seen)
-    from cotsum.exact import _cot_derivative_coeffs, _horner
-
     rng = random.Random(4099)
     cases = 0
     while cases < 8:
@@ -205,20 +199,23 @@ def test_estermann_alpha_validation(cfg):
         estermann_at_zero(ReducedFraction(1, 3), 18, cfg)
 
 
-# --------------------------------------------------------- cot_derivative
+# ------------------------------------------------ derivative polynomials
 
 
-def test_cot_derivative_examples(cfg):
-    assert cot_derivative(0, 1, 4, cfg) == pytest.approx(1.0, abs=8 * ULP)
-    assert cot_derivative(1, 1, 4, cfg) == pytest.approx(-2.0, rel=8 * ULP)
-    assert cot_derivative(2, 1, 4, cfg) == pytest.approx(4.0, rel=8 * ULP)
+def cot_derivative(n: int, r: int, k: int) -> float:
+    """cot^(n)(pi*r/k) as estermann_at_zero forms it: P_n at the kernel's cot."""
+    return _horner(_cot_derivative_coeffs(n), _cot_kernel(r, k, math, math.pi))
 
 
-def test_cot_derivative_matches_finite_difference(cfg):
+def test_cot_derivative_examples():
+    assert cot_derivative(0, 1, 4) == pytest.approx(1.0, abs=8 * ULP)
+    assert cot_derivative(1, 1, 4) == pytest.approx(-2.0, rel=8 * ULP)
+    assert cot_derivative(2, 1, 4) == pytest.approx(4.0, rel=8 * ULP)
+
+
+def test_cot_derivative_matches_finite_difference():
     # d/dx cot^(n-1)(x) at x = pi*r/k, via a central difference of the
     # polynomial evaluated at cot(x +/- h) computed directly from libm
-    from cotsum.exact import _cot_derivative_coeffs, _horner
-
     h_step = 1e-5
     for k, r in [(7, 2), (12, 5), (9, 4), (10, 3)]:
         x = math.pi * r / k
@@ -227,40 +224,32 @@ def test_cot_derivative_matches_finite_difference(cfg):
             up = _horner(coeffs, math.cos(x + h_step) / math.sin(x + h_step))
             dn = _horner(coeffs, math.cos(x - h_step) / math.sin(x - h_step))
             fd = (up - dn) / (2 * h_step)
-            got = cot_derivative(n, r, k, cfg)
+            got = cot_derivative(n, r, k)
             assert got == pytest.approx(fd, rel=1e-4)
 
 
-def test_cot_derivative_errors(cfg):
-    with pytest.raises(PoleError):
-        cot_derivative(1, 0, 5, cfg)
-    with pytest.raises(PoleError):
-        cot_derivative(1, 10, 5, cfg)
-    with pytest.raises(CapacityError):
-        cot_derivative(17, 1, 5, cfg)
-    with pytest.raises(PreconditionError):
-        cot_derivative(-1, 1, 5, cfg)
-
-
-# ------------------------------------------- floor_via_exponential_sum
+# ------------------------------------------------------- floor_identity
 
 
 def test_floor_examples(cfg):
-    assert floor_via_exponential_sum(7, 3, cfg) == 2
-    assert floor_via_exponential_sum(6, 3, cfg) == 2
-    assert floor_via_exponential_sum(1, 97, cfg) == 0
+    for a, b, floor in ((7, 3, 2), (6, 3, 2), (1, 97, 0)):
+        re, im, real_ok, imag_ok = floor_identity(a, b, cfg)
+        assert real_ok and imag_ok
+        assert round(re) == floor
 
 
 @given(a=st.integers(min_value=1, max_value=10**6), b=st.integers(min_value=2, max_value=300))
 def test_floor_property(a, b):
-    assert floor_via_exponential_sum(a, b) == a // b
+    re, im, real_ok, imag_ok = floor_identity(a, b)
+    assert real_ok and imag_ok
+    assert round(re) == a // b
 
 
 def test_floor_preconditions(cfg):
     with pytest.raises(PreconditionError):
-        floor_via_exponential_sum(0, 3, cfg)
+        floor_identity(0, 3, cfg)
     with pytest.raises(PreconditionError):
-        floor_via_exponential_sum(3, 1, cfg)
+        floor_identity(3, 1, cfg)
 
 
 def test_floor_identity_reports_its_checks(cfg, monkeypatch):
@@ -277,8 +266,6 @@ def test_floor_identity_reports_its_checks(cfg, monkeypatch):
             cotsum.exact, "_floor_identity_parts", lambda a, b, cfg: (re, im)
         )
         assert floor_identity(7, 3, cfg) == (re, im, real_ok, imag_ok)
-        with pytest.raises(NumericalConsistencyError):
-            floor_via_exponential_sum(7, 3, cfg)
 
 
 @pytest.mark.parametrize("precision", [53, 113])
@@ -336,8 +323,8 @@ def test_cot_cos_identity_property(a, b, n):
 
 
 def test_frac_identity_examples(cfg):
-    assert frac_via_cot_sin(1, 3, 1, cfg).value == pytest.approx(1 / 3, abs=1e-10)
-    assert frac_via_cot_sin(5, 4, 3, cfg).value == pytest.approx(0.75, abs=1e-10)
+    assert frac_via_cot_sin(1, 3, 1, cfg) == pytest.approx(1 / 3, abs=1e-10)
+    assert frac_via_cot_sin(5, 4, 3, cfg) == pytest.approx(0.75, abs=1e-10)
     with pytest.raises(PreconditionError):
         frac_via_cot_sin(2, 4, 2, cfg)
 
@@ -352,25 +339,7 @@ def test_frac_identity_property(a, b, n):
         with pytest.raises(PreconditionError):
             frac_via_cot_sin(a, b, n)
         return
-    result = frac_via_cot_sin(a, b, n)
-    assert 0.0 <= result.value < 1.0
-    assert result.value == pytest.approx(((n * a) % b) / b, abs=1e-10)
+    value = frac_via_cot_sin(a, b, n)
+    assert 0.0 <= value < 1.0
+    assert value == pytest.approx(((n * a) % b) / b, abs=1e-10)
 
-
-def test_frac_identity_result_carries_inputs(cfg):
-    r = frac_via_cot_sin(5, 4, 3, cfg)
-    assert (r.n, r.a, r.b) == (3, 5, 4)
-
-
-# ----------------------------------------------------------- row-sum zero
-
-
-def test_cot_row_sum_zero(cfg):
-    assert cot_row_sum_zero(2, cfg) == 0.0
-    assert abs(cot_row_sum_zero(3, cfg)) <= 1e-15
-    assert abs(cot_row_sum_zero(10**4, cfg)) <= 1e-9
-
-
-def test_cot_row_sum_zero_sweep(cfg):
-    for b in range(2, 400):
-        assert abs(cot_row_sum_zero(b, cfg)) <= 1e-12

@@ -1,4 +1,4 @@
-"""Kernel tests: constants, Bernoulli numbers, reduced cotangent, summation."""
+"""Kernel tests: constants, Bernoulli numbers, cotangent rows, summation."""
 
 import math
 from fractions import Fraction
@@ -9,16 +9,15 @@ from hypothesis import given, strategies as st
 
 from cotsum import (
     CapacityError,
-    PoleError,
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
     bernoulli,
-    cot_reduced,
     euler_gamma,
     log_two_pi,
     sum_strategy,
 )
+from cotsum.numerics import _cot_kernel, _cot_row, _eval
 
 ULP = 2.0**-52
 
@@ -124,43 +123,26 @@ def test_bernoulli_capacity_and_domain():
         bernoulli(-1)
 
 
-# ------------------------------------------------------------- cot_reduced
+# ------------------------------------------------------------ cotangent
 
 
-def test_cot_reduced_examples(cfg):
-    assert cot_reduced(1, 1, 4, cfg) == pytest.approx(1.0, abs=8 * ULP)
-    assert cot_reduced(2, 1, 4, cfg) == 0.0
-    with pytest.raises(PoleError):
-        cot_reduced(4, 1, 4, cfg)
-
-
-def test_cot_reduced_huge_argument(cfg):
-    # (10^9 + 1) mod 3 = 2, so the value is cot(2*pi/3) = -1/sqrt(3)
-    v = cot_reduced(10**9 + 1, 1, 3, cfg)
-    assert v == cot_reduced(2, 1, 3, cfg)
-    assert v == pytest.approx(-1 / math.sqrt(3), rel=8 * ULP)
-
-
-def test_cot_reduced_antisymmetry_exhaustive(cfg):
+def test_cot_row_antisymmetry_exhaustive():
     # cot(pi*(k-r)/k) = -cot(pi*r/k), bitwise by construction
     for k in range(2, 201):
+        row = _cot_row(k, 53)
         for r in range(1, k):
-            assert cot_reduced(r, 1, k, cfg) == -cot_reduced(k - r, 1, k, cfg)
+            assert row[r] == -row[k - r]
 
 
 @given(
     k=st.integers(min_value=2, max_value=10**6),
     r=st.integers(min_value=1, max_value=10**6),
-    m_scale=st.integers(min_value=0, max_value=10**12),
 )
-def test_cot_reduced_matches_high_precision_oracle(k, r, m_scale):
+def test_cot_kernel_matches_high_precision_oracle(k, r):
     r = r % k
-    m = r + m_scale * k  # same residue, astronomically larger argument
     if r == 0:
-        with pytest.raises(PoleError):
-            cot_reduced(m if m else k, 1, k)
         return
-    got = cot_reduced(m, 1, k)
+    got = _cot_kernel(r, k, math, math.pi)
     if 2 * r == k:
         assert got == 0.0  # cot(pi/2) is exactly zero
         return
@@ -169,13 +151,8 @@ def test_cot_reduced_matches_high_precision_oracle(k, r, m_scale):
         assert abs(got - ref) <= 8 * ULP * abs(ref)
 
 
-def test_cot_reduced_requires_k_at_least_two():
-    with pytest.raises(PreconditionError):
-        cot_reduced(1, 1, 1)
-
-
-def test_cot_reduced_extended_precision(cfg_ext):
-    v = cot_reduced(1, 1, 3, cfg_ext)
+def test_cot_kernel_extended_precision(cfg_ext):
+    v = _eval(cfg_ext, lambda mt, pi, real: _cot_kernel(1, 3, mt, pi))
     with mpmath.workprec(160):
         ref = mpmath.cot(mpmath.pi / 3)
         assert abs(v - ref) < mpmath.mpf(2) ** -105
@@ -207,8 +184,6 @@ def test_all_strategies_agree_with_fsum(values):
 def test_compensated_matches_exact_rational_reference(cfg):
     # c0-style weighted cotangent terms, against the exact sum of the same
     # binary64 values
-    from cotsum.numerics import _cot_row
-
     for k in (101, 1009, 9973):
         row = _cot_row(k, 53)
         terms = [(row[r] * m) / k for m, r in zip(range(1, k), _residues(3, k))]
@@ -217,8 +192,6 @@ def test_compensated_matches_exact_rational_reference(cfg):
 
 
 def test_sum_extended_matches_exact_rational_reference(cfg_ext):
-    from cotsum.numerics import _cot_row
-
     k = 1009
     row = _cot_row(k, 113)
     with mpmath.workprec(113):
