@@ -13,7 +13,6 @@ from cotsum import (
     estimate_C0,
     euler_gamma,
     f_term,
-    g_partial,
     inner_block_expansion,
     log_two_pi,
     r_series,
@@ -140,27 +139,6 @@ def test_s_sum_direct_matches_rational_oracle(cfg):
     for b, L in [(2, 64), (5, 200), (9, 450)]:
         oracle = 2 * b * sum(Fraction(a // b, a) for a in range(1, L + 1))
         assert s_sum_direct(L, b, cfg) == pytest.approx(float(oracle), rel=1e-13)
-
-
-# --------------------------------------------------------------- g_partial
-
-
-def test_g_partial_hand_values(cfg):
-    # b = 3, L = 3: a = 1 gives 3 - 2 = 1 and a = 2 gives 3/2 - 2 = -1/2
-    assert g_partial(2, 2, cfg) == 0.0
-    assert g_partial(3, 3, cfg) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_g_partial_approaches_pi_times_c0(cfg):
-    # G_L(4)/pi tends to c0(1/4) = 1/2
-    assert g_partial(4, 4 * 10**5, cfg) == pytest.approx(math.pi * 0.5, abs=1e-2)
-
-
-def test_g_partial_preconditions(cfg):
-    with pytest.raises(PreconditionError):
-        g_partial(1, 10, cfg)
-    with pytest.raises(PreconditionError):
-        g_partial(5, 4, cfg)
 
 
 # ---------------------------------------------------------------- r series

@@ -21,9 +21,10 @@ from cotsum import (
     estermann_at_zero,
     floor_identity,
     frac_via_cot_sin,
+    sum_strategy,
 )
 from cotsum.exact import _cot_derivative_coeffs, _horner
-from cotsum.numerics import _cot_kernel
+from cotsum.numerics import _cot_kernel, _cot_row
 
 ULP = 2.0**-52
 
@@ -343,3 +344,21 @@ def test_frac_identity_property(a, b, n):
     assert 0.0 <= value < 1.0
     assert value == pytest.approx(((n * a) % b) / b, abs=1e-10)
 
+
+# ----------------------------------------------------------- row-sum zero
+
+
+def cot_row_sum_zero(b: int, cfg) -> float:
+    """sum_{m=1}^{b-1} cot(pi*m/b) over the row the identities use; zero exactly."""
+    return sum_strategy(_cot_row(b, cfg.working_precision)[1:], cfg)
+
+
+def test_cot_row_sum_zero(cfg):
+    assert cot_row_sum_zero(2, cfg) == 0.0
+    assert abs(cot_row_sum_zero(3, cfg)) <= 1e-15
+    assert abs(cot_row_sum_zero(10**4, cfg)) <= 1e-9
+
+
+def test_cot_row_sum_zero_sweep(cfg):
+    for b in range(2, 400):
+        assert abs(cot_row_sum_zero(b, cfg)) <= 1e-12

@@ -1,23 +1,11 @@
-"""Series tests: the two c0(1/b) series, sine series, harmonic partials."""
+"""Series tests: G_L(b), the partial sums of the c0(1/b) series times pi."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from cotsum import (
-    PreconditionError,
-    ReducedFraction,
-    c0,
-    c0_series_partial,
-    c0_series_with_truncation,
-    divisible_harmonic_sum,
-    euler_gamma,
-    g_lemma_decomposition_check,
-    g_partial,
-    harmonic_sum,
-    sin_series_partial,
-)
+from cotsum import PreconditionError, ReducedFraction, c0, g_partial
 
 
 # ------------------------------------------------------- c0 series partials
@@ -25,38 +13,37 @@ from cotsum import (
 
 def test_c0_series_two_term_hand_value(cfg):
     # a = 1: 3*(1 - 2/3)/1 = 1; a = 2: 3*(1 - 4/3)/2 = -1/2
-    assert c0_series_partial(3, 3, cfg) == pytest.approx(0.5 / math.pi, rel=1e-14)
+    assert g_partial(3, 3, cfg) / math.pi == pytest.approx(0.5 / math.pi, rel=1e-14)
 
 
 def test_c0_series_b2_vanishes_identically(cfg):
     # every term has 1 - 2*{a/2} = 0
-    assert c0_series_partial(2, 2 * 10**6, cfg) == 0.0
+    assert g_partial(2, 2 * 10**6, cfg) == 0.0
 
 
 def test_c0_series_converges_to_exact_quarter(cfg):
-    got = c0_series_partial(4, 4 * 10**6, cfg)
+    got = g_partial(4, 4 * 10**6, cfg) / math.pi
     assert got == pytest.approx(0.5, abs=1e-4)
 
 
 def test_c0_series_preconditions(cfg):
     with pytest.raises(PreconditionError):
-        c0_series_partial(1, 10, cfg)
+        g_partial(1, 10, cfg)
     with pytest.raises(PreconditionError):
-        c0_series_partial(5, 4, cfg)
+        g_partial(5, 4, cfg)
 
 
 # ------------------------------------------------------------- g partials
 
 
 def test_g_partial_hand_values(cfg):
+    # b = 3, L = 3: a = 1 gives 3 - 2 = 1 and a = 2 gives 3/2 - 2 = -1/2
     assert g_partial(2, 2, cfg) == 0.0
     assert g_partial(3, 3, cfg) == pytest.approx(0.5, rel=1e-14)
-    assert g_partial(3, 3, cfg) == pytest.approx(
-        math.pi * c0_series_partial(3, 3, cfg), rel=1e-14
-    )
 
 
 def test_g_partial_approaches_pi_times_c0(cfg):
+    # G_L(4)/pi tends to c0(1/4) = 1/2
     assert g_partial(4, 4 * 10**5, cfg) == pytest.approx(math.pi * 0.5, abs=1e-2)
 
 
@@ -77,124 +64,3 @@ def test_g_partial_rep_consistency_medium(cfg):
         L = 10**4 * b
         err = abs(g_partial(b, L, cfg) / math.pi - c0(ReducedFraction(1, b), cfg))
         assert err <= 0.05 * b * b / L + 1e-6
-
-
-def test_c0_series_with_truncation(cfg):
-    value, trunc = c0_series_with_truncation(4, 4 * 10**4, cfg)
-    assert value == c0_series_partial(4, 4 * 10**4, cfg)
-    assert trunc.limit_L == 4 * 10**4
-    assert trunc.tail_estimate > 0
-    # the estimate is the half-to-full increment; the true remaining tail has
-    # the same 1/A scale
-    assert abs(value - 0.5) <= 10 * trunc.tail_estimate + 1e-6
-    with pytest.raises(PreconditionError):
-        c0_series_with_truncation(4, 4 * 10**4 + 1, cfg)
-    with pytest.raises(PreconditionError):
-        c0_series_with_truncation(4, 4, cfg)
-
-
-# ------------------------------------------------------------- sine series
-
-
-def test_sin_series_at_pi_vanishes(cfg):
-    assert abs(sin_series_partial(math.pi, 10**5, cfg)) <= 1e-4
-
-
-def test_sin_series_at_half_pi(cfg):
-    got = sin_series_partial(math.pi / 2, 10**6, cfg)
-    assert got == pytest.approx((math.pi - math.pi / 2) / 2, abs=1e-3)
-
-
-def test_sin_series_domain(cfg):
-    with pytest.raises(PreconditionError):
-        sin_series_partial(2 * math.pi, 10, cfg)
-    with pytest.raises(PreconditionError):
-        sin_series_partial(0.0, 10, cfg)
-    with pytest.raises(PreconditionError):
-        sin_series_partial(-1.0, 10, cfg)
-    with pytest.raises(PreconditionError):
-        sin_series_partial(7.0, 10, cfg)
-
-
-def test_sin_series_cesaro_grid(cfg):
-    # Averaging consecutive partial sums scales the leading oscillation by
-    # cot(theta/2)/2, so the flat 1/N bound holds on the central half-range;
-    # 50 interior points spanning [pi/2, 3*pi/2].
-    N = 1000
-    for i in range(50):
-        theta = math.pi / 2 + math.pi * i / 49
-        pair = (
-            sin_series_partial(theta, N, cfg) + sin_series_partial(theta, N + 1, cfg)
-        ) / 2
-        assert abs(pair - (math.pi - theta) / 2) <= 1.0 / N
-
-
-# --------------------------------------------------------- harmonic sums
-
-
-def test_harmonic_hand_values(cfg):
-    assert harmonic_sum(1, cfg) == 1.0
-    assert harmonic_sum(10, cfg) == pytest.approx(7381 / 2520, rel=1e-15)
-    assert harmonic_sum(10.9, cfg) == harmonic_sum(10, cfg)
-
-
-def test_harmonic_asymptotics(cfg):
-    n = 10**6
-    assert harmonic_sum(n, cfg) == pytest.approx(
-        math.log(n) + euler_gamma(cfg), abs=1e-5
-    )
-
-
-def test_harmonic_requires_x_at_least_one(cfg):
-    with pytest.raises(PreconditionError):
-        harmonic_sum(0.5, cfg)
-
-
-def test_harmonic_excess_positive_decreasing(cfg):
-    g = euler_gamma(cfg)
-    previous = None
-    for x in (1, 2, 3, 5, 10, 100, 1000, 10000):
-        excess = harmonic_sum(x, cfg) - math.log(x) - g
-        assert excess > 0
-        if previous is not None:
-            assert excess < previous
-        previous = excess
-
-
-def test_divisible_harmonic_hand_value(cfg):
-    assert divisible_harmonic_sum(3, 9, cfg) == pytest.approx(11 / 18, rel=1e-15)
-    assert divisible_harmonic_sum(3, 11, cfg) == divisible_harmonic_sum(3, 9, cfg)
-    with pytest.raises(PreconditionError):
-        divisible_harmonic_sum(5, 4, cfg)
-
-
-def test_divisible_harmonic_equals_filtered_sum(cfg):
-    for b, L in [(2, 1000), (7, 500), (13, 400)]:
-        direct = math.fsum(1.0 / a for a in range(b, L + 1, b))
-        assert divisible_harmonic_sum(b, L, cfg) == pytest.approx(direct, rel=1e-13)
-
-
-def test_divisible_harmonic_asymptotics(cfg):
-    got = divisible_harmonic_sum(2, 2 * 10**6, cfg)
-    assert got == pytest.approx(
-        (math.log(10**6) + euler_gamma(cfg)) / 2, abs=1e-5
-    )
-
-
-# -------------------------------------------- G_L decomposition residual
-
-
-def test_g_lemma_decomposition_bounded(cfg):
-    # the residual is -gamma + O(b/L): bounded by 1, and near -gamma when
-    # b/L is small
-    for b, L in [(10, 10**5), (2, 2 * 10**5), (100, 10**6)]:
-        res = g_lemma_decomposition_check(b, L, cfg)
-        assert abs(res) <= 1.0
-        assert res == pytest.approx(-euler_gamma(cfg), abs=0.05)
-
-
-def test_g_lemma_decomposition_preconditions(cfg):
-    with pytest.raises(PreconditionError):
-        g_lemma_decomposition_check(10, 10**5 + 3, cfg)  # b !| L
-    with pytest.raises(PreconditionError):
-        g_lemma_decomposition_check(10, 50, cfg)  # L/b < 10
