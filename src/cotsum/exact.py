@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-
-import mpmath
 
 from .numerics import (
     DEFAULT_CONFIG,
@@ -29,6 +26,7 @@ from .numerics import (
     _cot_kernel,
     _cot_row,
     _eval,
+    _exact_parts,
     bernoulli,
     sum_strategy,
 )
@@ -82,10 +80,12 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
         c0(h/k) = sum_{m=1}^{(k-1)//2} cot(pi*r_m/k) * (k - 2m)/k,  r_m = m*h mod k,
 
     each cotangent by :func:`_cot_kernel`'s folding and quadrant choice, in
-    one correctly rounded sum.  No row is built: cost O(k) time, and memory
-    bounded by one chunk of terms.  Because the fold keeps the sign exactly,
-    c0((k-h)/k) is bitwise -c0(h/k).  k must be below 2^32
-    (:class:`CapacityError`).
+    one correctly rounded sum.  In binary64 each numpy chunk of terms is first
+    reduced without error to a few floats with the same exact sum
+    (:func:`_exact_parts`), so that sum rounds as a sum of the terms would.
+    No row is built: cost O(k) time, and memory bounded by one chunk of
+    terms.  Because the fold keeps the sign exactly, c0((k-h)/k) is bitwise
+    -c0(h/k).  k must be below 2^32 (:class:`CapacityError`).
     """
     h, k = frac.h, frac.k
     if k < 2:
@@ -93,7 +93,10 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
     if k >= _C0_MAX_K:
         raise CapacityError(f"c0 requires k < 2^32, got k = {k}")
     if not cfg.extended:
-        return sum_strategy(chain.from_iterable(_half_row_chunks(h, k)), cfg)
+        parts = []
+        for terms in _half_row_chunks(h, k):
+            parts += _exact_parts(terms)
+        return sum_strategy(parts, cfg)
 
     def body(mt, pi, real):
         return sum_strategy(
@@ -108,11 +111,12 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
 
 
 def _half_row_chunks(h: int, k: int):
-    """Binary64 terms of c0's half-row sum, as lists of up to _C0_CHUNK in order.
+    """Binary64 terms of c0's half-row sum, as float64 arrays of up to _C0_CHUNK.
 
     Each term repeats :func:`_cot_kernel`'s operations elementwise: fold r to
-    min(r, k - r) keeping the sign, then 1/tan(pi*r/k) if 4r <= k, else
-    tan(pi*(k - 2r)/(2k)); then cot * (k - 2m) / k.
+    min(r, k - r), then 1/tan(pi*r/k) if 4r <= k, else tan(pi*(k - 2r)/(2k));
+    then times the weight (k - 2m), negated where the fold flipped the sign,
+    over k.  Negating the weight instead of the cotangent gives the same bits.
     """
     # Imported here: numpy's import would cost every other command ~0.1 s.
     import numpy as np
@@ -120,14 +124,19 @@ def _half_row_chunks(h: int, k: int):
     end = (k - 1) // 2 + 1
     for start in range(1, end, _C0_CHUNK):
         m = np.arange(start, min(start + _C0_CHUNK, end), dtype=np.int64)
-        r = m * h % k
-        flip = 2 * r > k
-        r = np.where(flip, k - r, r)
+        r = m * h
+        r %= k
+        w = k - 2 * m
+        np.negative(w, out=w, where=2 * r > k)
+        r = np.minimum(r, k - r)
         near = 4 * r <= k
-        t = np.tan(np.pi * np.where(near, r, k - 2 * r) / np.where(near, k, 2 * k))
-        cot = np.where(near, 1 / t, t)
-        cot = np.where(flip, -cot, cot)
-        yield (cot * (k - 2 * m) / k).tolist()
+        t = np.where(near, r, k - 2 * r) * np.pi
+        t /= np.where(near, k, 2 * k)
+        np.tan(t, out=t)
+        np.reciprocal(t, out=t, where=near)
+        t *= w
+        t /= k
+        yield t
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +181,11 @@ def estermann_at_zero(
 
     def as_real(x: float):
         # 0.0 and 0.25 are exact binary values; no context needed.
-        return mpmath.mpf(x) if cfg.extended else x
+        if not cfg.extended:
+            return x
+        import mpmath
+
+        return mpmath.mpf(x)
 
     if frac.k == 1 or alpha % 2 == 1:
         value = bernoulli(alpha + 1) / (2 * (alpha + 1))

@@ -1,14 +1,17 @@
 """Shared numerical kernel.
 
 Provides the precision configuration used across the package, exact-rational
-Bernoulli numbers, cotangent evaluation at rational multiples of pi, and one
-correctly rounded sum.
+Bernoulli numbers, cotangent evaluation at rational multiples of pi, one
+correctly rounded sum, and an error-free reduction of a numpy array to a few
+floats with the same exact sum.
 
 Two precision modes are supported: binary64 (the default, 53-bit significand,
 evaluated with the ``math`` module) and an extended mode (> 53 bits, evaluated
-with ``mpmath`` inside a working-precision context).  All operations are pure
-functions of their arguments; the extended mode serialises around the shared
-mpmath context with a re-entrant lock so concurrent callers stay safe.
+with ``mpmath`` inside a working-precision context).  ``mpmath`` is imported
+only by the extended mode, so a binary64 run never pays for its import.  All
+operations are pure functions of their arguments; the extended mode serialises
+around the shared mpmath context with a re-entrant lock so concurrent callers
+stay safe.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 from typing import Callable, Iterable
-
-import mpmath
 
 __all__ = [
     "CapacityError",
@@ -130,25 +131,40 @@ def _eval(cfg: PrecisionConfig, body: Callable):
     """
     if cfg.working_precision <= 53:
         return body(math, math.pi, float)
+    import mpmath
+
     with _MP_LOCK:
         with mpmath.workprec(cfg.working_precision):
             return body(mpmath, +mpmath.pi, mpmath.mpf)
 
 
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """Euler-Mascheroni constant gamma = lim (H_n - log n) at working precision."""
+    """Euler-Mascheroni constant gamma = lim (H_n - log n) at working precision.
+
+    In binary64 this is the literal that rounding the 61-bit value gives.
+    """
+    if not cfg.extended:
+        return 0.5772156649015329
+    import mpmath
+
     with _MP_LOCK:
         with mpmath.workprec(cfg.working_precision + 8):
-            g = +mpmath.euler
-    return g if cfg.extended else float(g)
+            return +mpmath.euler
 
 
 def log_two_pi(cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """log(2*pi) at working precision."""
+    """log(2*pi) at working precision.
+
+    In binary64 this is the literal that rounding the 61-bit value gives;
+    ``math.log(2 * math.pi)`` is 1 ulp below it.
+    """
+    if not cfg.extended:
+        return 1.8378770664093456
+    import mpmath
+
     with _MP_LOCK:
         with mpmath.workprec(cfg.working_precision + 8):
-            v = mpmath.log(2 * (+mpmath.pi))
-    return v if cfg.extended else float(v)
+            return mpmath.log(2 * (+mpmath.pi))
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +201,7 @@ def _cot_kernel(r: int, k: int, mt, pi):
     """
     two_r = 2 * r
     if two_r == k:
-        return 0.0 if mt is math else mpmath.mpf(0)
+        return 0.0 if mt is math else mt.mpf(0)
     if two_r > k:
         return -_cot_kernel(k - r, k, mt, pi)
     if 4 * r <= k:
@@ -222,3 +238,46 @@ def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
     order given, so repeated runs are bit-identical.  The empty sum is zero.
     """
     return _eval(cfg, lambda mt, pi, real: mt.fsum(values))
+
+
+def _exact_parts(x) -> list[float]:
+    """Floats whose exact sum is the exact sum of the float64 array ``x``.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31, 2008).  Each pass takes the
+    power of two sigma = 2^(e + bitlen(n+1) + 1), where max|r| < 2^e, splits
+    every remainder r into q = (sigma + r) - sigma and r - q without error,
+    and adds up the q: they are multiples of 2^-53*sigma whose partial sums
+    stay below sigma, so numpy's sum of them is exact in any order.  The
+    remainders shrink by at least 51 - bitlen(n+1) bits a pass until all are
+    zero.  ``math.fsum`` of the result therefore equals ``math.fsum`` of
+    ``x``, bit for bit; an input of zeros gives one zero carrying the sign
+    that an IEEE sum of those zeros has.  ``x`` is left unchanged.
+
+    Raises :class:`PreconditionError` if ``x`` holds an inf or a nan, or if
+    sigma would overflow: max|x| >= 2^(1022 - bitlen(n+1)).
+    """
+    import numpy as np
+
+    shift = (len(x) + 1).bit_length() + 1
+    parts: list[float] = []
+    r = x
+    while r.size:
+        mu = float(max(r.max(), -r.min()))
+        if mu == 0.0:
+            if not parts:
+                parts.append(-0.0 if np.signbit(x).all() else 0.0)
+            break
+        if not math.isfinite(mu):
+            raise PreconditionError("cannot sum an array holding inf or nan exactly")
+        e = math.frexp(mu)[1] + shift
+        if e > 1023:
+            raise PreconditionError(
+                f"array maximum {mu!r} is too large to sum {len(x)} terms exactly"
+            )
+        sigma = math.ldexp(1.0, e)
+        q = r + sigma
+        q -= sigma
+        parts.append(float(q.sum()))
+        r = r - q
+    return parts

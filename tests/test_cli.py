@@ -256,27 +256,49 @@ def test_closed_stdout_ends_by_sigpipe_without_traceback():
     assert b"Traceback" not in proc.stderr
 
 
-def test_only_binary64_c0_imports_numpy():
-    # numpy's import costs ~0.1 s, so import, help, verify and constants skip it
+def _child_imports(module, argv, cwd=None) -> bool:
+    """Whether ``cotsum.cli.main(argv)`` in a fresh process imports ``module``."""
     script = (
         "import sys, cotsum.cli\n"
-        "if sys.argv[1:]: cotsum.cli.main(sys.argv[1:])\n"
-        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "if sys.argv[2:]: cotsum.cli.main(sys.argv[2:])\n"
+        "print(sys.argv[1] in sys.modules, file=sys.stderr)\n"
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, module, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        cwd=cwd,
+        timeout=120,
+    )
+    last = proc.stderr.splitlines()[-1]
+    assert last in ("True", "False"), (argv, proc.stderr)
+    return last == "True"
+
+
+def test_only_binary64_c0_imports_numpy():
+    # numpy's import costs ~0.1 s, so import, help, verify and constants skip it
     for argv, loaded in (
-        ([], "False"),
-        (["verify", "--suite", "floor", "--size", "5"], "False"),
-        (["constants", "--help"], "False"),
-        (["eval", "--h", "1", "--k", "5"], "True"),
+        ([], False),
+        (["verify", "--suite", "floor", "--size", "5"], False),
+        (["constants", "--help"], False),
+        (["eval", "--h", "1", "--k", "5"], True),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            capture_output=True,
-            text=True,
-            env=_child_env(),
-            timeout=120,
-        )
-        assert proc.stderr.splitlines()[-1] == loaded, (argv, proc.stderr)
+        assert _child_imports("numpy", argv) is loaded, argv
+
+
+def test_binary64_runs_never_import_mpmath(tmp_path):
+    # mpmath's import costs ~35 ms, so only extended precision pays for it
+    for argv, loaded in (
+        ([], False),
+        (["eval", "--h", "1", "--k", "5"], False),
+        (["verify", "--suite", "floor", "--size", "5"], False),
+        (["residuals", "--b-min", "256", "--b-max", "1024", "--geometric-step", "2"],
+         False),
+        (["constants", "--K", "1000"], False),
+        (["eval", "--h", "1", "--k", "5", "--precision", "113"], True),
+    ):
+        assert _child_imports("mpmath", argv, cwd=tmp_path) is loaded, argv
 
 
 def test_numerical_consistency_exit_code(capsys, monkeypatch):
@@ -369,6 +391,18 @@ def test_residuals_budget_prices_the_terms_c0_sums(capsys, tmp_path):
     code, _, err = run_cli(capsys, argv + ["--budget", "892"])
     assert code == 2
     assert "893" in err
+
+
+def test_residuals_default_budget_admits_the_2_to_30_ladder():
+    # 256..2^30 doubling costs 1,073,741,673 terms, 33 s measured on a 2-vCPU
+    # Xeon; the default admits it without --budget, and refuses 2^31
+    from cotsum import cli
+
+    def cost(b_max):
+        return sum((b - 1) // 2 for b in cli._residual_bs(256, b_max, 2.0))
+
+    assert cost(2**30) == 1_073_741_673 <= cli.DEFAULT_RESIDUAL_BUDGET
+    assert cost(2**31) > cli.DEFAULT_RESIDUAL_BUDGET
 
 
 def test_residuals_geometric_ladder(capsys, tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,7 +24,7 @@ from cotsum import (
     frac_via_cot_sin,
     sum_strategy,
 )
-from cotsum.exact import _cot_derivative_coeffs, _horner
+from cotsum.exact import _C0_CHUNK, _cot_derivative_coeffs, _half_row_chunks, _horner
 from cotsum.numerics import _cot_kernel, _cot_row
 
 ULP = 2.0**-52
@@ -86,6 +87,47 @@ def test_c0_powers_of_two_match_the_full_row(cfg):
             _cot_kernel(m, k, math, math.pi) * m / k for m in range(1, k)
         )
         assert c0(ReducedFraction(1, k), cfg) == full_row
+
+
+def _half_row_chunks_reference(h, k):
+    """The half-row terms as first written: np.where for the fold and sign."""
+    end = (k - 1) // 2 + 1
+    for start in range(1, end, _C0_CHUNK):
+        m = np.arange(start, min(start + _C0_CHUNK, end), dtype=np.int64)
+        r = m * h % k
+        flip = 2 * r > k
+        r = np.where(flip, k - r, r)
+        near = 4 * r <= k
+        t = np.tan(np.pi * np.where(near, r, k - 2 * r) / np.where(near, k, 2 * k))
+        cot = np.where(near, 1 / t, t)
+        cot = np.where(flip, -cot, cot)
+        yield cot * (k - 2 * m) / k
+
+
+def test_half_row_chunks_match_the_reference_bitwise(cfg):
+    # chunk by chunk and bit for bit, sign included; k = 2*2^14 +- 1 puts the
+    # half row's end on either side of a chunk boundary.  c0 stays one
+    # correctly rounded fsum of exactly these terms.
+    rng = random.Random(1410)
+    ks = [2, 3, 4, 5, 6, 8, 12, 2**15 - 1, 2**15 + 1, 2**15 + 3, 2**16 + 1, 2**17 - 1]
+    ks += [rng.randrange(2, 10**5) for _ in range(20)]
+    ks += [2 * rng.randrange(2, 10**5) for _ in range(10)]
+    cases = []
+    for k in ks:
+        for h in (1, k - 1, rng.randrange(1, k)):
+            while gcd(h, k) != 1:
+                h = h % (k - 1) + 1
+            cases.append((h, k))
+    assert len(set(cases)) >= 50
+    for h, k in sorted(set(cases)):
+        got = list(_half_row_chunks(h, k))
+        want = list(_half_row_chunks_reference(h, k))
+        assert len(got) == len(want) == -(-((k - 1) // 2) // _C0_CHUNK), (h, k)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float64 and a.shape == b.shape, (h, k)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (h, k)
+        terms = [v for chunk in want for v in chunk.tolist()]
+        assert c0(ReducedFraction(h, k), cfg).hex() == math.fsum(terms).hex(), (h, k)
 
 
 def test_c0_binary64_against_120_bits(cfg):

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +18,7 @@ from cotsum import (
     log_two_pi,
     sum_strategy,
 )
-from cotsum.numerics import _cot_kernel, _cot_row, _eval
+from cotsum.numerics import _cot_kernel, _cot_row, _eval, _exact_parts
 
 ULP = 2.0**-52
 
@@ -83,6 +84,18 @@ def test_log_two_pi_value_and_identities(cfg):
     assert v == pytest.approx(1.8378770664093456, abs=4 * ULP)
     assert math.exp(v) / (2 * math.pi) == pytest.approx(1.0, abs=4 * ULP)
     assert v - math.log(2) - math.log(math.pi) == pytest.approx(0.0, abs=4 * ULP)
+
+
+def test_binary64_constants_are_the_rounded_61_bit_values(cfg):
+    # the binary64 literals are what the mpmath path at 53 + 8 bits rounded
+    # to; math.log(2*math.pi) rounds its argument first and lands 1 ulp low
+    with mpmath.workprec(61):
+        gamma61 = float(+mpmath.euler)
+        l2p61 = float(mpmath.log(2 * (+mpmath.pi)))
+    assert euler_gamma(cfg) == gamma61 == 0.5772156649015329
+    assert log_two_pi(cfg) == l2p61 == 1.8378770664093456
+    assert math.log(2 * math.pi) == 1.8378770664093453
+    assert type(euler_gamma(cfg)) is float and type(log_two_pi(cfg)) is float
 
 
 def test_log_two_pi_extended_digits(cfg_ext):
@@ -199,6 +212,95 @@ def test_sum_extended_matches_exact_rational_reference(cfg_ext):
     exact = sum(_mpf_fraction(t) for t in terms)
     got = _mpf_fraction(sum_strategy(terms, cfg_ext))
     assert abs(got - exact) <= abs(exact) * Fraction(1, 2**105)
+
+
+def _exact_sum(values) -> float:
+    """float(sum(map(Fraction, values))), by integers: every finite float is
+    an integer multiple of 2^-1074, and int / int rounds correctly."""
+    scale = 2**1074
+    total = 0
+    for v in values:
+        num, den = v.as_integer_ratio()
+        total += num * (scale // den)
+    return float(Fraction(total, scale))
+
+
+def _passes_bound(x) -> int:
+    # each pass lowers the exponent of max|r| by at least 51 - bitlen(n+1),
+    # from frexp(max|x|) down to at worst frexp(2^-1074) = -1073
+    top = math.frexp(float(np.abs(x).max()))[1]
+    return -(-(top + 1073) // (51 - (len(x) + 1).bit_length())) + 1
+
+
+@st.composite
+def _float_arrays(draw):
+    """float64 arrays of 1..2^14+1 terms over a drawn band of 2^-1074..2^900.
+
+    Some share one sign, so the sum of each pass's q grows like n*max|x|;
+    some are followed by their own negations, shuffled (total cancellation);
+    some are all zeros of one sign.
+    """
+    n = draw(st.integers(min_value=1, max_value=2**14 + 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    kind = draw(st.sampled_from(["band", "one_sign", "cancel", "zeros"]))
+    if kind == "zeros":
+        return np.full(n, draw(st.sampled_from([-0.0, 0.0])))
+    lo = draw(st.integers(min_value=-1074, max_value=900))
+    hi = draw(st.integers(min_value=lo, max_value=min(900, lo + 200)))
+    mant = rng.random(n) + 0.5
+    if kind == "one_sign":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+    else:
+        sign = rng.choice([-1.0, 1.0], n)
+    x = np.ldexp(mant * sign, rng.integers(lo, hi + 1, n))
+    if kind == "cancel":
+        x = np.concatenate([x, -rng.permutation(x)])
+    return x
+
+
+@given(_float_arrays())
+def test_exact_parts_sum_to_the_exact_sum(x):
+    # one fsum over the parts rounds the chunk's exact sum, as one fsum over
+    # the terms does: equal values, and the same bits as fsum of the terms
+    before = x.copy()
+    parts = _exact_parts(x)
+    got = math.fsum(parts)
+    assert got == _exact_sum(x.tolist())
+    assert got.hex() == math.fsum(x.tolist()).hex()
+    assert 1 <= len(parts) <= _passes_bound(x)
+    assert np.array_equal(x.view(np.int64), before.view(np.int64))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_exact_parts_never_return_a_wrong_sum(values):
+    # magnitudes up to the largest float: either the sum is exact, or the
+    # input is refused because sigma would overflow
+    x = np.array(values)
+    limit = 2.0 ** (1022 - (len(x) + 1).bit_length())
+    try:
+        parts = _exact_parts(x)
+    except PreconditionError:
+        assert np.abs(x).max() >= limit
+        return
+    assert np.abs(x).max() < limit
+    assert math.fsum(parts).hex() == math.fsum(values).hex()
+    assert math.fsum(parts) == _exact_sum(values)
+
+
+def test_exact_parts_edge_inputs():
+    assert _exact_parts(np.array([], dtype=np.float64)) == []
+    # one zero with the sign an IEEE sum of the zeros has
+    assert math.copysign(1.0, _exact_parts(np.full(5, -0.0))[0]) == -1.0
+    assert math.copysign(1.0, _exact_parts(np.array([-0.0, 0.0]))[0]) == 1.0
+    assert _exact_parts(np.array([5e-324, -5e-324, 5e-324])) == [5e-324]
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            _exact_parts(np.array([1.0, bad, 2.0]))
+    # n = 1: sigma = 2^(e + 3) overflows from max|x| = 2^1020
+    with pytest.raises(PreconditionError):
+        _exact_parts(np.array([2.0**1020]))
+    below = math.nextafter(2.0**1020, 0.0)
+    assert math.fsum(_exact_parts(np.array([below]))) == below
 
 
 def _mpf_fraction(x) -> Fraction:
