@@ -32,6 +32,7 @@ from .exact import (
     c0,
     cot_cos_identity_residual,
     estermann_at_zero,
+    floor_identities,
     floor_identity,
     frac_via_cot_sin,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "euler_gamma",
     "extrapolate_C0",
     "f_term",
+    "floor_identities",
     "floor_identity",
     "frac_via_cot_sin",
     "g_partial",

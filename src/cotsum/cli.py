@@ -260,7 +260,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         values={
             "cases": len(cases),
             "failed": len(failures),
-            "max_residue": max((res for _, _, res in cases), default=0.0),
+            "max_residue": checks.worst_residue(res for _, _, res in cases),
             "passed": not failures,
         },
         diagnostics={"failed_cases": failures, **extra},

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .numerics import (
     DEFAULT_CONFIG,
@@ -33,10 +34,13 @@ from .numerics import (
 
 __all__ = [
     "EstermannValue",
+    "FLOOR_IMAG_TOL",
+    "FLOOR_ROUND_TOL",
     "MAX_DERIVATIVE_ORDER",
     "c0",
     "cot_cos_identity_residual",
     "estermann_at_zero",
+    "floor_identities",
     "floor_identity",
     "frac_via_cot_sin",
 ]
@@ -45,10 +49,10 @@ __all__ = [
 # supported order is capped; raise the cap explicitly if you need more.
 MAX_DERIVATIVE_ORDER = 16
 
-# Tolerances for the floor identity's internal cross-checks (binary64 scale;
-# the identity doubles as a health check of the whole kernel).
-_FLOOR_IMAG_TOL = 1e-9
-_FLOOR_ROUND_TOL = 1e-6
+# Tolerances for the floor identity's checks (binary64 scale; the identity
+# doubles as a health check of the whole kernel).
+FLOOR_IMAG_TOL = 1e-9
+FLOOR_ROUND_TOL = 1e-6
 
 # c0 works in int64 residues m*h with m <= k/2 and h < k, so k < 2^32.
 _C0_MAX_K = 2**32
@@ -244,62 +248,68 @@ def _unit_row(b: int, working_precision: int):
     return _eval(cfg, build)
 
 
-@lru_cache(maxsize=256)
-def _floor_sums(a_mod: int, b: int, working_precision: int):
-    """The floor identity's two sums, correctly rounded, for a = a_mod (mod b).
+def _gathered(row, step: int, b: int) -> list:
+    """row[m*step mod b] for m = 1..b-1 (0 <= step < b)."""
+    if step == 0:
+        return [row[0]] * (b - 1)
+    return [row[i % b] for i in range(step, step * b, step)]
 
-        re + i*im = sum_{m=1}^{b-1} (1 - i*cot(pi*m/b)) e^(2*pi*i*m*a/b)
 
-    The exponential has period b in a, so the floor suite's a = 1..1000 share
-    one cached pair per residue class.
+def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """``(real, imag)`` of the exponential-sum expression for floor(a/b), per a.
+
+        floor(a/b) = a/b + 1/(2b) - 1/2
+                     + (1/(2b)) sum_{m=1}^{b-1} (1 - i*cot(pi*m/b)) e^(2*pi*i*m*a/b)
+
+    ``a_values`` is a sequence of integers a >= 1; the pairs come back in its
+    order.  The exponential has period b in a, so the sum's real and imaginary
+    parts are each formed, correctly rounded, once per residue class a mod b
+    present, and every a of a class only adds its own a/b.
     """
-    cfg = PrecisionConfig(working_precision=working_precision)
-    cot = _cot_row(b, working_precision)
-    cos_row, sin_row = _unit_row(b, working_precision)
-
-    def body(mt, pi, real):
-        re_terms = []
-        im_terms = []
-        for m in range(1, b):
-            j = m * a_mod % b
-            c = cot[m]
-            wr = cos_row[j]
-            wi = sin_row[j]
-            re_terms.append(wr + c * wi)
-            im_terms.append(wi - c * wr)
-        return sum_strategy(re_terms, cfg), sum_strategy(im_terms, cfg)
-
-    return _eval(cfg, body)
-
-
-def _floor_identity_parts(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """Real and imaginary parts of the exponential-sum expression for floor(a/b)."""
-    re, im = _floor_sums(a % b, b, cfg.working_precision)
+    if b < 2 or min(a_values, default=1) < 1:
+        raise PreconditionError(
+            f"need a >= 1 and b >= 2, got a = {min(a_values, default=None)}, b = {b}"
+        )
+    cot = _cot_row(b, cfg.working_precision)
+    cos_row, sin_row = _unit_row(b, cfg.working_precision)
 
     def body(mt, pi, real):
         half_b = 2 * b
-        value_re = real(a) / b + real(1) / half_b - real(1) / 2 + re / half_b
-        value_im = im / half_b
-        return value_re, value_im
+        cot_tail = cot[1:]
+        parts = [None] * b
+        for step in {a % b for a in a_values}:
+            re_terms = []
+            im_terms = []
+            for c, wr, wi in zip(
+                cot_tail, _gathered(cos_row, step, b), _gathered(sin_row, step, b)
+            ):
+                re_terms.append(wr + c * wi)
+                im_terms.append(wi - c * wr)
+            parts[step] = (
+                sum_strategy(re_terms, cfg) / half_b,
+                sum_strategy(im_terms, cfg) / half_b,
+            )
+        offset = real(1) / half_b
+        half = real(1) / 2
+        return [
+            (real(a) / b + offset - half + re, im)
+            for a in a_values
+            for re, im in [parts[a % b]]
+        ]
 
     return _eval(cfg, body)
 
 
 def floor_identity(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """The exponential-sum expression for floor(a/b) and its tolerance checks.
-
-        floor(a/b) = a/b + 1/(2b) - 1/2
-                     + (1/(2b)) sum_{m=1}^{b-1} (1 - i*cot(pi*m/b)) e^(2*pi*i*m*a/b)
+    """The expression for floor(a/b) of :func:`floor_identities` and its checks.
 
     Returns ``(real, imag, real_ok, imag_ok)``: ``real_ok`` says whether the
-    real part lies within 1e-6 of the exact floor a // b, ``imag_ok`` whether
-    the imaginary residue lies within 1e-9 of zero.  A plain tuple, because
-    the floor suite makes about 10^5 calls.
+    real part lies within ``FLOOR_ROUND_TOL`` (1e-6) of the exact floor a // b,
+    ``imag_ok`` whether the imaginary residue lies within ``FLOOR_IMAG_TOL``
+    (1e-9) of zero.  A nan part fails its check.
     """
-    if a < 1 or b < 2:
-        raise PreconditionError(f"need a >= 1 and b >= 2, got ({a}, {b})")
-    re, im = _floor_identity_parts(a, b, cfg)
-    return re, im, abs(re - a // b) <= _FLOOR_ROUND_TOL, abs(im) <= _FLOOR_IMAG_TOL
+    ((re, im),) = floor_identities(b, [a], cfg)
+    return re, im, abs(re - a // b) <= FLOOR_ROUND_TOL, abs(im) <= FLOOR_IMAG_TOL
 
 
 def cot_cos_identity_residual(
@@ -316,7 +326,7 @@ def cot_cos_identity_residual(
     step = (n * a) % b
 
     def body(mt, pi, real):
-        return sum_strategy((cot[m] * cos_row[m * step % b] for m in range(1, b)), cfg)
+        return sum_strategy(map(mul, cot[1:], _gathered(cos_row, step, b)), cfg)
 
     return _eval(cfg, body)
 
@@ -339,7 +349,7 @@ def frac_via_cot_sin(
     _, sin_row = _unit_row(b, cfg.working_precision)
 
     def body(mt, pi, real):
-        s = sum_strategy((cot[m] * sin_row[m * step % b] for m in range(1, b)), cfg)
+        s = sum_strategy(map(mul, cot[1:], _gathered(sin_row, step, b)), cfg)
         return real(1) / 2 - s / (2 * b)
 
     return _eval(cfg, body)

@@ -226,6 +226,41 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert payload["diagnostics"]["failed_cases"] == ["case"]
 
 
+def test_a_nan_residue_fails_and_is_reported(capsys, monkeypatch):
+    from cotsum import checks, exact
+
+    assert math.isnan(checks.worst_residue([1e-12, math.nan, 1e-11]))
+    assert checks.worst_residue([1e-12, 1e-11]) == 1e-11
+    assert checks.worst_residue([]) == 0.0
+    cfg = cotsum.PrecisionConfig()
+    # max(0.0, nan) is 0.0: a broken identity must not pass with residue 0
+    monkeypatch.setattr(exact, "cot_cos_identity_residual", lambda a, b, n, cfg: math.nan)
+    cases, extra = checks.prop1(5, 1, cfg)
+    assert cases and not any(ok for _, ok, _ in cases)
+    assert all(math.isnan(residue) for _, _, residue in cases)
+    assert math.isnan(extra["max_cot_cos_residue"])
+    assert extra["max_frac_error"] <= 1e-10
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "prop1", "--size", "5"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["values"]["failed"] == 4
+    assert math.isnan(payload["values"]["max_residue"])
+    # the floor suite: a nan imaginary part for one a of each b
+    floor_identities = exact.floor_identities
+
+    def one_nan(b, a_values, cfg):
+        parts = floor_identities(b, a_values, cfg)
+        parts[1] = (parts[1][0], math.nan)
+        return parts
+
+    monkeypatch.setattr(exact, "floor_identities", one_nan)
+    cases, extra = checks.floor(4, None, cfg)
+    assert [ok for _, ok, _ in cases] == [False, False, False]
+    assert all(math.isnan(residue) for _, _, residue in cases)
+    assert math.isnan(extra["max_imag_residue"])
+    assert extra["max_rounding_distance"] <= 1e-6
+
+
 def _child_env():
     """This environment, with the imported package first on PYTHONPATH."""
     env = dict(os.environ)
@@ -281,7 +316,9 @@ def test_only_binary64_c0_imports_numpy():
     for argv, loaded in (
         ([], False),
         (["verify", "--suite", "floor", "--size", "5"], False),
+        (["verify", "--suite", "prop1", "--size", "5"], False),
         (["constants", "--help"], False),
+        (["constants", "--K", "1000"], False),
         (["eval", "--h", "1", "--k", "5"], True),
     ):
         assert _child_imports("numpy", argv) is loaded, argv

@@ -18,6 +18,7 @@ from cotsum import (
     ReducedFraction,
     bernoulli,
     c0,
+    checks,
     cot_cos_identity_residual,
     estermann_at_zero,
     floor_identity,
@@ -300,51 +301,103 @@ def test_floor_identity_reports_its_checks(cfg, monkeypatch):
     assert re == pytest.approx(2.0, abs=1e-12)
     assert abs(im) <= 1e-12
     assert real_ok and imag_ok
-    # a real part 1e-5 off the floor, or an imaginary residue of 1e-8, fails
+    # a real part 1e-5 off the floor, an imaginary residue of 1e-8, or a nan
+    # part fails; 5e-7 and 5e-10 pass
     for re, im, real_ok, imag_ok in (
+        (2.0000005, 5e-10, True, True),
         (2.00001, 0.0, False, True),
         (2.0, 1e-8, True, False),
+        (math.nan, 0.0, False, True),
+        (2.0, math.nan, True, False),
     ):
         monkeypatch.setattr(
-            cotsum.exact, "_floor_identity_parts", lambda a, b, cfg: (re, im)
+            cotsum.exact,
+            "floor_identities",
+            lambda b, a_values, cfg: [(re, im)] * len(a_values),
         )
         assert floor_identity(7, 3, cfg) == (re, im, real_ok, imag_ok)
 
 
-@pytest.mark.parametrize("precision", [53, 113])
-@pytest.mark.parametrize("b", [2, 7, 97])
-def test_floor_sums_are_computed_once_per_residue_class(b, precision):
-    cfg = PrecisionConfig(working_precision=precision)
-    memo = cotsum.exact._floor_sums
-    assert isinstance(memo.cache_info().maxsize, int)
-    a = 12345
-    # the two sums from scratch, term by term in the kernel's order
+def _floor_oracle(a_values, b, precision):
+    """floor(a/b)'s expression per a, each class sum formed term by term."""
     with mpmath.workprec(precision):
         if precision == 53:
             mt, pi, fsum, real = math, math.pi, math.fsum, float
         else:
             mt, pi, fsum, real = mpmath, +mpmath.pi, mpmath.fsum, mpmath.mpf
-        re_terms = []
-        im_terms = []
-        for m in range(1, b):
-            c = _cot_kernel(m, b, mt, pi)
-            j = m * a % b
-            wr, wi = mt.cos(2 * pi * j / b), mt.sin(2 * pi * j / b)
-            re_terms.append(wr + c * wi)
-            im_terms.append(wi - c * wr)
-        re, im = fsum(re_terms), fsum(im_terms)
-        expected = [
-            (real(x) / b + real(1) / (2 * b) - real(1) / 2 + re / (2 * b), im / (2 * b))
-            for x in (a, a + 3 * b)
-        ]
-    memo.cache_clear()
+        sums = {}
+        out = []
+        for a in a_values:
+            if a % b not in sums:
+                re_terms = []
+                im_terms = []
+                for m in range(1, b):
+                    c = _cot_kernel(m, b, mt, pi)
+                    j = m * a % b
+                    wr, wi = mt.cos(2 * pi * j / b), mt.sin(2 * pi * j / b)
+                    re_terms.append(wr + c * wi)
+                    im_terms.append(wi - c * wr)
+                sums[a % b] = fsum(re_terms), fsum(im_terms)
+            re, im = sums[a % b]
+            out.append(
+                (real(a) / b + real(1) / (2 * b) - real(1) / 2 + re / (2 * b), im / (2 * b))
+            )
+    return out
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+@pytest.mark.parametrize("b", [2, 7, 97])
+def test_floor_sums_are_computed_once_per_residue_class(b, precision, monkeypatch):
+    cfg = PrecisionConfig(working_precision=precision)
+    summed = []
+
+    def counted(values, cfg):
+        summed.append(len(values))
+        return sum_strategy(values, cfg)
+
+    monkeypatch.setattr(cotsum.exact, "sum_strategy", counted)
+    a = 12345
+    # a and a + 3b share a class: one pair of sums, and the oracle's bits
+    assert cotsum.exact.floor_identities(b, [a, a + 3 * b], cfg) == _floor_oracle(
+        [a, a + 3 * b], b, precision
+    )
+    assert summed == [b - 1, b - 1]
     first = floor_identity(a, b, cfg)
-    assert (memo.cache_info().hits, memo.cache_info().misses) == (0, 1)
     second = floor_identity(a + 3 * b, b, cfg)
-    assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 1)
-    assert memo(a % b, b, precision) == (re, im)
-    assert [first[:2], second[:2]] == expected
     assert first[2:] == second[2:] == (True, True)
+    # a = 1..3b covers every class three times: one pair of sums per class
+    summed.clear()
+    assert len(cotsum.exact.floor_identities(b, range(1, 3 * b + 1), cfg)) == 3 * b
+    assert summed == [b - 1] * (2 * b)
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+def test_floor_suite_matches_the_per_a_reference(precision):
+    # the suite's cases and extras from floor(a/b) evaluated one a at a time
+    cfg = PrecisionConfig(working_precision=precision)
+    cases = []
+    imag = []
+    rounding = []
+    for b in range(2, 13):
+        a_values = range(1, 1001)
+        parts = _floor_oracle(a_values, b, precision)
+        ok = all(
+            abs(re - a // b) <= 1e-6 and abs(im) <= 1e-9
+            for a, (re, im) in zip(a_values, parts)
+        )
+        max_im = max(abs(float(im)) for _, im in parts)
+        cases.append((f"b={b}", ok, max_im))
+        imag.append(max_im)
+        rounding.append(max(abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)))
+    extra = {"max_imag_residue": max(imag), "max_rounding_distance": max(rounding)}
+    assert checks.floor(12, checks.DEFAULT_SEED, cfg) == (cases, extra)
+
+
+def test_floor_identities_preconditions(cfg):
+    assert cotsum.exact.floor_identities(5, [], cfg) == []
+    for b, a_values in ((1, [3]), (5, [4, 0, 2])):
+        with pytest.raises(PreconditionError):
+            cotsum.exact.floor_identities(b, a_values, cfg)
 
 
 # ------------------------------------------------- proposition identities
