@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .exact import c0
 from .numerics import (
@@ -56,6 +57,10 @@ __all__ = [
 # block, worth exactly 2b - 2 + o(1) in S(L;b), i.e. 1 per unit of 2b), so
 # the extrapolated limit of r carries a structural offset of exactly 1.
 R_SERIES_OFFSET = 1.0
+
+# Terms of r(b) built per list comprehension: a generator's per-term Python
+# costs about a third more, and a list of 2^12 floats holds about 0.13 MB.
+_R_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -211,16 +216,23 @@ def _r_terms(b: int, lo: int, hi: int, mt, real):
     The ratio ((k+1)b-1)/(kb-1) is 1 + b/(kb-1), so the log is taken by
     ``log1p``.  The bracket is still O(1/k^3) against a log of O(1/k), so
     each term carries an absolute rounding error of a few units of 2^-p at
-    working precision p.
+    working precision p.  The terms come flat, built in list comprehensions
+    of up to ``_R_CHUNK``; 1/(2k^2) is formed as (1/2)/k^2, which rounds to
+    the same value.
     """
-    for k in range(lo + 1, hi + 1):
-        kk = k * k
-        yield k * (
-            mt.log1p(real(b) / (k * b - 1))
-            - real(1) / k
-            + real(1) / (2 * kk)
-            - real(1) / (b * kk)
-        )
+    log1p = mt.log1p
+    one = real(1)
+    half = one / 2
+    rb = real(b)
+    return chain.from_iterable(
+        [
+            k * (
+                log1p(rb / (k * b - 1)) - one / k + half / (k * k) - one / (b * k * k)
+            )
+            for k in range(start, min(start + _R_CHUNK, hi + 1))
+        ]
+        for start in range(lo + 1, hi + 1, _R_CHUNK)
+    )
 
 
 def _r_checkpoints(b: int, K: int, cfg: PrecisionConfig):

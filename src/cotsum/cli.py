@@ -381,10 +381,13 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         raise PreconditionError(f"could not parse --bs {args.bs!r}") from err
     if not bs or any(b < 2 for b in bs):
         raise PreconditionError(f"every b must be an integer >= 2, got {args.bs!r}")
-    # Check the extrapolation's nodes before any r(b) is summed.
+    # Check the extrapolation's nodes, or that no b repeats, before any r(b)
+    # is summed.
     extrapolate = len(bs) >= 3
     if extrapolate:
         asymptotics.check_C0_nodes(bs)
+    elif len(set(bs)) != len(bs):
+        raise PreconditionError(f"every b must be distinct, got {args.bs!r}")
     gamma = euler_gamma(cfg)
     l2p = log_two_pi(cfg)
     closed_form = (gamma - l2p) / 2

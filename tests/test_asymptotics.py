@@ -22,6 +22,7 @@ from cotsum import (
     taylor_f1,
     taylor_f2,
 )
+from cotsum import asymptotics
 from cotsum.asymptotics import _neville_to_zero, _r_checkpoints, _r_terms
 
 
@@ -186,6 +187,49 @@ def test_r_series_first_term_and_partial_oracle(cfg):
     est = r_series(2, 100, cfg)
     assert est.value == _neville_to_zero([1 / n for n in ns], partials)[-1]
     assert est.truncation_K == 100
+
+
+def _r_terms_one_by_one(b, lo, hi, mt, real):
+    # the term expression as it stood before the terms were built in chunks
+    for k in range(lo + 1, hi + 1):
+        kk = k * k
+        yield k * (
+            mt.log1p(real(b) / (k * b - 1))
+            - real(1) / k
+            + real(1) / (2 * kk)
+            - real(1) / (b * kk)
+        )
+
+
+def _checkpoints_one_by_one(b, K, precision):
+    ns = [K // 8, K // 4, K // 2, K]
+
+    def partials(mt, real):
+        segments = [
+            mt.fsum(_r_terms_one_by_one(b, lo, hi, mt, real))
+            for lo, hi in zip([0] + ns, ns)
+        ]
+        return [mt.fsum(segments[: i + 1]) for i in range(len(ns))]
+
+    if precision == 53:
+        return ns, partials(math, float)
+    with mpmath.workprec(precision):
+        return ns, partials(mpmath, mpmath.mpf)
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+@pytest.mark.parametrize("b", [2, 1000])
+def test_r_checkpoints_match_the_term_by_term_sums_bitwise(b, precision, monkeypatch):
+    # K = 8C puts every checkpoint on a multiple of the chunk C; K = 8C -+ 8
+    # puts K/8 one term before or after one and the later checkpoints a few
+    # terms off; K = 100 fits in one chunk of the real size.  mpmath is slow,
+    # so at 113 bits the chunks shrink to 2^6 terms.
+    if precision > 53:
+        monkeypatch.setattr(asymptotics, "_R_CHUNK", 1 << 6)
+    chunk = asymptotics._R_CHUNK
+    cfg = PrecisionConfig(working_precision=precision)
+    for K in (100, 8 * chunk - 8, 8 * chunk, 8 * chunk + 8):
+        assert _r_checkpoints(b, K, cfg) == _checkpoints_one_by_one(b, K, precision)
 
 
 def test_r_series_converges_to_offset_constant(cfg):

@@ -542,6 +542,37 @@ def test_constants_checks_bs_before_summing(capsys, monkeypatch):
     assert summed == []
 
 
+def test_constants_rejects_a_repeated_b_before_summing(capsys, monkeypatch):
+    summed = []
+    monkeypatch.setattr(
+        cotsum.asymptotics, "r_series", lambda *args: summed.append(args)
+    )
+    for bs in ("100,100", "7,7"):
+        code, out, err = run_cli(capsys, ["constants", "--K", "1000", "--bs", bs])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "distinct" in err
+    assert summed == []
+
+
+def test_constants_reproduces_the_recorded_bits(capsys):
+    # reprs recorded when r(b) still summed its terms one generator step at a
+    # time; a rewrite of r(b) that keeps the bits keeps these
+    code, out, _ = run_cli(
+        capsys, ["constants", "--K", "20000", "--bs", "100,1000,10000"]
+    )
+    assert code == 0
+    vals = json.loads(out)["values"]
+    assert {key: repr(vals[key]) for key in
+            ("r_100", "r_1000", "r_10000", "C0_estimate")} == {
+        "r_100": "0.35975194936178817",
+        "r_1000": "0.3686701221140458",
+        "r_10000": "0.36956930747115996",
+        "C0_estimate": "-0.6303307003501946",
+    }
+
+
 # ------------------------------------------------------------ determinism
 
 
