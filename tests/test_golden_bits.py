@@ -1,0 +1,200 @@
+"""Golden bits: the value and type of every precision-dependent function.
+
+``GOLDEN`` was recorded from the implementation in which each function handed
+its arithmetic to a ``body(mt, pi, real)`` callback, before those bodies were
+inlined into ``with _context(cfg)`` blocks.  Each entry is a float's hex form
+or an mpf's ``_mpf_`` tuple, so any change of a single bit, or of float
+against mpf, fails.  To re-record after a declared change of bits, print
+``{key: _bits(fn(PrecisionConfig(p))) for ...}`` and replace the table.
+"""
+
+import dataclasses
+
+import mpmath
+import pytest
+
+from cotsum import PrecisionConfig, ReducedFraction
+from cotsum.asymptotics import (
+    c0_main_terms,
+    estimate_C0,
+    g_partial,
+    inner_block_expansion,
+    r_series,
+    s_sum_asymptotic,
+    s_sum_direct,
+)
+from cotsum.exact import (
+    c0,
+    cot_cos_identity_residual,
+    estermann_at_zero,
+    floor_identities,
+    floor_identity,
+    frac_via_cot_sin,
+)
+from cotsum.numerics import _cot_row, euler_gamma, log_two_pi, sum_strategy
+
+CASES = {
+    "c0_3_17": lambda cfg: c0(ReducedFraction(3, 17), cfg),
+    "c0_1_64": lambda cfg: c0(ReducedFraction(1, 64), cfg),
+    "estermann_k1": lambda cfg: estermann_at_zero(ReducedFraction(1, 1), 2, cfg),
+    "estermann_odd": lambda cfg: estermann_at_zero(ReducedFraction(2, 7), 3, cfg),
+    "estermann_alpha0": lambda cfg: estermann_at_zero(ReducedFraction(3, 11), 0, cfg),
+    "estermann_alpha2": lambda cfg: estermann_at_zero(ReducedFraction(3, 11), 2, cfg),
+    "estermann_alpha4": lambda cfg: estermann_at_zero(ReducedFraction(5, 12), 4, cfg),
+    "floor_identities": lambda cfg: floor_identities(12, [1, 5, 12, 29, 17], cfg),
+    "floor_identity": lambda cfg: floor_identity(7, 5, cfg),
+    "cot_cos": lambda cfg: cot_cos_identity_residual(3, 10, 2, cfg),
+    "frac_via_cot_sin": lambda cfg: frac_via_cot_sin(3, 10, 1, cfg),
+    "cot_row": lambda cfg: _cot_row(9, cfg.working_precision),
+    "inner_block_expansion": lambda cfg: inner_block_expansion(3, 10, cfg),
+    "s_sum_direct": lambda cfg: s_sum_direct(60, 10, cfg),
+    "g_partial": lambda cfg: g_partial(7, 100, cfg),
+    "r_series": lambda cfg: r_series(10, 200, cfg),
+    "estimate_C0": lambda cfg: estimate_C0([10, 20, 40], 200, cfg),
+    "s_sum_asymptotic": lambda cfg: s_sum_asymptotic(100, 10, 0.1, cfg),
+    "c0_main_terms": lambda cfg: c0_main_terms(1000, cfg),
+    "euler_gamma": euler_gamma,
+    "log_two_pi": log_two_pi,
+    "sum_strategy_list": lambda cfg: sum_strategy([0.1] * 10, cfg),
+    "sum_strategy_gen": lambda cfg: sum_strategy((1 / k for k in range(1, 50)), cfg),
+}
+
+
+def _bits(x):
+    """A float as its hex form, an mpf as its _mpf_ tuple, recursively."""
+    if isinstance(x, float):
+        return ("float", x.hex())
+    if isinstance(x, mpmath.mpf):
+        return ("mpf", x._mpf_)
+    if isinstance(x, (bool, int, type(None))):
+        return x
+    if dataclasses.is_dataclass(x):
+        x = dataclasses.astuple(x)
+    return tuple(_bits(v) for v in x)
+
+
+GOLDEN = {
+    "c0_1_64@53": ("float", "0x1.dae4e2c85e001p+5"),
+    "c0_1_64@113": ("mpf", (0, 4815998179512715617829196554078229, -106, 112)),
+    "c0_3_17@53": ("float", "0x1.088ffcbf5d16cp+1"),
+    "c0_3_17@113": ("mpf", (0, 5365963984170486698544434624468235, -111, 113)),
+    "c0_main_terms@53": ("float", "0x1.c161a6dc80dbbp+10"),
+    "c0_main_terms@113": ("mpf", (0, 4557269342443654728639660457643963, -101, 112)),
+    "cot_cos@53": ("float", "-0x1.4000000000000p-52"),
+    "cot_cos@113": ("mpf", (1, 19, -115, 5)),
+    "cot_row@53": (None,
+                   ("float", "0x1.5fad570f872d9p+1"),
+                   ("float", "0x1.3116c3711527ep+0"),
+                   ("float", "0x1.279a74590331cp-1"),
+                   ("float", "0x1.691e1ebc5cbbcp-3"),
+                   ("float", "-0x1.691e1ebc5cbbcp-3"),
+                   ("float", "-0x1.279a74590331cp-1"),
+                   ("float", "-0x1.3116c3711527ep+0"),
+                   ("float", "-0x1.5fad570f872d9p+1")),
+    "cot_row@113": (None,
+                    ("mpf", (0, 7132859186964805082139495814128665, -111, 113)),
+                    ("mpf", (0, 3093969217487255592648870717198661, -111, 112)),
+                    ("mpf", (0, 2997773988987530938558832353574291, -112, 112)),
+                    ("mpf", (0, 7324336224059950693561974934902915, -115, 113)),
+                    ("mpf", (1, 7324336224059950693561974934902915, -115, 113)),
+                    ("mpf", (1, 2997773988987530938558832353574291, -112, 112)),
+                    ("mpf", (1, 3093969217487255592648870717198661, -111, 112)),
+                    ("mpf", (1, 7132859186964805082139495814128665, -111, 113))),
+    "estermann_alpha0@53": (("float", "0x1.0000000000000p-2"),
+                            ("float", "0x1.c2d32ba6a750ep-2"),
+                            0),
+    "estermann_alpha0@113": (("mpf", (0, 1, -2, 1)),
+                             ("mpf",
+                              (0, 4571907486630498641670315965618327, -113, 112)),
+                             0),
+    "estermann_alpha2@53": (("float", "0x0.0p+0"),
+                            ("float", "-0x1.4f5e25c2334f5p+1"),
+                            2),
+    "estermann_alpha2@113": (("mpf", (0, 0, 0, 0)),
+                             ("mpf",
+                              (1, 6802066350218929149462700795564021, -111, 113)),
+                             2),
+    "estermann_alpha4@53": (("float", "0x0.0p+0"),
+                            ("float", "0x1.6883a26904a89p+6"),
+                            4),
+    "estermann_alpha4@113": (("mpf", (0, 0, 0, 0)),
+                             ("mpf",
+                              (0, 7312096610134768956827212340661641, -106, 113)),
+                             4),
+    "estermann_k1@53": (("float", "0x0.0p+0"), ("float", "0x0.0p+0"), 2),
+    "estermann_k1@113": (("mpf", (0, 0, 0, 0)), ("mpf", (0, 0, 0, 0)), 2),
+    "estermann_odd@53": (("float", "-0x1.1111111111111p-8"), ("float", "0x0.0p+0"), 3),
+    "estermann_odd@113": (("mpf", (1, 5538449982437149470432529417834769, -120, 113)),
+                          ("mpf", (0, 0, 0, 0)),
+                          3),
+    "estimate_C0@53": (("float", "-0x1.42b348c52d5b7p-1"),
+                       200,
+                       ("float", "0x1.d83ee0c25f4cdp-14")),
+    "estimate_C0@113": (("mpf", (1, 818142531844886857464523170445721, -110, 110)),
+                        200,
+                        ("float", "0x1.d83ee0c0d86d8p-14")),
+    "euler_gamma@53": ("float", "0x1.2788cfc6fb619p-1"),
+    "euler_gamma@113": ("mpf", (0, 1534502442785444268401093204211049879, -121, 121)),
+    "floor_identities@53": ((("float", "0x0.0p+0"),
+                             ("float", "-0x1.132277bbe4daap-54")),
+                            (("float", "-0x1.0000000000000p-57"),
+                             ("float", "-0x1.dcd22668f854cp-58")),
+                            (("float", "0x1.0000000000000p+0"), ("float", "0x0.0p+0")),
+                            (("float", "0x1.ffffffffffffep+0"),
+                             ("float", "-0x1.dcd22668f854cp-58")),
+                            (("float", "0x1.0000000000000p+0"),
+                             ("float", "-0x1.dcd22668f854cp-58"))),
+    "floor_identities@113": ((("mpf", (0, 1, -114, 1)),
+                              ("mpf",
+                               (1, 9562249747832096644292937799008487, -226, 113))),
+                             (("mpf", (0, 1, -114, 1)),
+                              ("mpf",
+                               (1, 7441831563960831124392258857271757, -227, 113))),
+                             (("mpf", (0, 1, 0, 1)), ("mpf", (0, 0, 0, 0))),
+                             (("mpf",
+                               (0, 10384593717069655257060992658440191, -112, 113)),
+                              ("mpf",
+                               (1, 7441831563960831124392258857271757, -227, 113))),
+                             (("mpf",
+                               (0, 5192296858534827628530496329220097, -112, 113)),
+                              ("mpf",
+                               (1, 7441831563960831124392258857271757, -227, 113)))),
+    "floor_identity@53": (("float", "0x1.0000000000000p+0"),
+                          ("float", "-0x1.999999999999ap-55"),
+                          True,
+                          True),
+    "floor_identity@113": (("mpf", (0, 1, 0, 1)),
+                           ("mpf", (1, 4153837486827862102824397063376077, -227, 112)),
+                           True,
+                           True),
+    "frac_via_cot_sin@53": ("float", "0x1.3333333333332p-2"),
+    "frac_via_cot_sin@113": ("mpf", (0, 6230756230241793154236595595064115, -114, 113)),
+    "g_partial@53": ("float", "0x1.7761eb9a5e8e6p+2"),
+    "g_partial@113": ("mpf", (0, 7613661648731672856322556183095871, -110, 113)),
+    "inner_block_expansion@53": ("float", "0x1.2ae503f309273p-2"),
+    "inner_block_expansion@113": ("mpf",
+                                  (0, 6062302533371192139879965441866295, -114, 113)),
+    "log_two_pi@53": ("float", "0x1.d67f1c864beb5p+0"),
+    "log_two_pi@113": ("mpf", (0, 2442957649482355028246220439649006145, -120, 121)),
+    "r_series@53": (("float", "0x1.1d00f54e9e218p-2"),
+                    200,
+                    ("float", "0x1.48c3582400000p-23")),
+    "r_series@113": (("mpf", (0, 5780562655911104553622970117772417, -114, 113)),
+                     200,
+                     ("float", "0x1.48c355107ff5fp-23")),
+    "s_sum_asymptotic@53": ("float", "0x1.6029e0cba92a2p+7"),
+    "s_sum_asymptotic@113": ("mpf", (0, 7142726106001471311919033151697181, -105, 113)),
+    "s_sum_direct@53": ("float", "0x1.5b97baa39cdc8p+6"),
+    "s_sum_direct@113": ("mpf", (0, 1762504336753569102031903389480639, -104, 111)),
+    "sum_strategy_gen@53": ("float", "0x1.1eab4cde0c624p+2"),
+    "sum_strategy_gen@113": ("mpf", (0, 1291043039527445437, -58, 61)),
+    "sum_strategy_list@53": ("float", "0x1.0000000000000p+0"),
+    "sum_strategy_list@113": ("mpf", (0, 18014398509481985, -54, 55)),
+}
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bits_are_unchanged(name, precision):
+    got = _bits(CASES[name](PrecisionConfig(working_precision=precision)))
+    assert got == GOLDEN[f"{name}@{precision}"]
