@@ -24,7 +24,7 @@ from .numerics import (
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
-    _eval,
+    _context,
     euler_gamma,
     log_two_pi,
     sum_strategy,
@@ -101,13 +101,10 @@ def inner_block_expansion(k: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG)
         raise PreconditionError(f"need k >= 1 and b >= 2, got ({k}, {b})")
     hi = (k + 1) * b - 1
     lo = k * b - 1
-
-    def body(mt, pi, real):
+    with _context(cfg) as (mt, pi, real):
         f1 = real(1) / hi - real(1) / lo
         f2 = real(1) / hi**2 - real(1) / lo**2
         return mt.log(real(hi) / lo) + f1 / 2 - f2 / 12
-
-    return _eval(cfg, body)
 
 
 def taylor_f1(k: int, b: int) -> float:
@@ -148,20 +145,18 @@ def s_sum_direct(L: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     if L % b != 0:
         raise PreconditionError(f"need b | L, got L = {L}, b = {b}")
 
-    def body(mt, pi, real):
-        def terms():
-            q = 0
-            rem = b - 1
-            for a in range(b, L + 1):
-                rem += 1
-                if rem == b:
-                    rem = 0
-                    q += 1
-                yield real(q) / a
+    def terms(real):
+        q = 0
+        rem = b - 1
+        for a in range(b, L + 1):
+            rem += 1
+            if rem == b:
+                rem = 0
+                q += 1
+            yield real(q) / a
 
-        return 2 * b * sum_strategy(terms(), cfg)
-
-    return _eval(cfg, body)
+    with _context(cfg) as (mt, pi, real):
+        return 2 * b * sum_strategy(terms(real), cfg)
 
 
 def g_partial(b: int, L: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -177,21 +172,19 @@ def g_partial(b: int, L: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     if L < b:
         raise PreconditionError(f"need L >= b, got L = {L}, b = {b}")
 
-    def body(mt, pi, real):
-        def terms():
-            q = 0
-            rem = 0
-            for a in range(1, L + 1):
-                rem += 1
-                if rem == b:
-                    rem = 0
-                    q += 1
-                    continue
-                yield real(b + 2 * b * q - 2 * a) / a
+    def terms(real):
+        q = 0
+        rem = 0
+        for a in range(1, L + 1):
+            rem += 1
+            if rem == b:
+                rem = 0
+                q += 1
+                continue
+            yield real(b + 2 * b * q - 2 * a) / a
 
-        return sum_strategy(terms(), cfg)
-
-    return _eval(cfg, body)
+    with _context(cfg) as (mt, pi, real):
+        return sum_strategy(terms(real), cfg)
 
 
 def _neville_to_zero(xs: list[float], ys: list):
@@ -243,15 +236,12 @@ def _r_checkpoints(b: int, K: int, cfg: PrecisionConfig):
     rounded sum of the segment sums before it.
     """
     ns = [K // 8, K // 4, K // 2, K]
-
-    def body(mt, pi, real):
+    with _context(cfg) as (mt, pi, real):
         segments = [
             sum_strategy(_r_terms(b, lo, hi, mt, real), cfg)
             for lo, hi in zip([0] + ns, ns)
         ]
-        return [sum_strategy(segments[: i + 1], cfg) for i in range(len(ns))]
-
-    return ns, _eval(cfg, body)
+        return ns, [sum_strategy(segments[: i + 1], cfg) for i in range(len(ns))]
 
 
 def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantEstimate:
@@ -268,14 +258,11 @@ def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantE
     if K < 100:
         raise PreconditionError(f"need K >= 100, got {K}")
     ns, partials = _r_checkpoints(b, K, cfg)
-
-    def body(mt, pi, real):
+    with _context(cfg) as (mt, pi, real):
         diag = _neville_to_zero([real(1) / n for n in ns], partials)
-        return diag[-1], abs(float(diag[-1] - diag[-2]))
-
-    value, step = _eval(cfg, body)
+        step = abs(float(diag[-1] - diag[-2]))
     rounding = K * 2.0 ** -cfg.working_precision
-    return ConstantEstimate(value=value, truncation_K=K, tail_bound=step + rounding)
+    return ConstantEstimate(value=diag[-1], truncation_K=K, tail_bound=step + rounding)
 
 
 def check_C0_nodes(bs: list[int]) -> None:
@@ -310,13 +297,10 @@ def extrapolate_C0(
     plus the worst per-b tail bound.
     """
     check_C0_nodes(bs)
-
-    def body(mt, pi, real):
-        xs = [real(1) / b for b in bs]
-        diag = _neville_to_zero(xs, [e.value for e in estimates])
-        return diag[-1] - R_SERIES_OFFSET, abs(float(diag[-1] - diag[-2]))
-
-    value, extrapolation_step = _eval(cfg, body)
+    with _context(cfg) as (mt, pi, real):
+        diag = _neville_to_zero([real(1) / b for b in bs], [e.value for e in estimates])
+        value = diag[-1] - R_SERIES_OFFSET
+        extrapolation_step = abs(float(diag[-1] - diag[-2]))
     tail = max(e.tail_bound for e in estimates)
     K = max(e.truncation_K for e in estimates)
     return ConstantEstimate(
@@ -350,11 +334,8 @@ def s_sum_asymptotic(
     if L % b != 0:
         raise PreconditionError(f"need b | L, got L = {L}, b = {b}")
     gamma = euler_gamma(cfg)
-
-    def body(mt, pi, real):
+    with _context(cfg) as (mt, pi, real):
         return 2 * b * real(C0) + 2 * L + (1 - b) * (mt.log(real(L) / b) + gamma)
-
-    return _eval(cfg, body)
 
 
 def c0_main_terms(b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -366,11 +347,8 @@ def c0_main_terms(b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
         raise PreconditionError(f"need b >= 2, got {b}")
     gamma = euler_gamma(cfg)
     l2p = log_two_pi(cfg)
-
-    def body(mt, pi, real):
+    with _context(cfg) as (mt, pi, real):
         return (real(b) / pi) * (mt.log(real(b)) - l2p + gamma)
-
-    return _eval(cfg, body)
 
 
 def residual_scan(
@@ -393,13 +371,10 @@ def residual_scan(
     for b in bs:
         exact = c0(ReducedFraction(1, b), cfg)
         main = c0_main_terms(b, cfg)
+        with _context(cfg):
+            delta = exact - main
         records.append(
-            ResidualRecord(
-                b=b,
-                c0_exact=exact,
-                c0_main_terms=main,
-                delta=exact - main,
-            )
+            ResidualRecord(b=b, c0_exact=exact, c0_main_terms=main, delta=delta)
         )
     xs = [math.log(r.b) for r in records]
     ys = [float(r.delta) for r in records]

@@ -44,8 +44,8 @@ __all__ = ["OutputRecord", "build_parser", "main", "entrypoint"]
 # About 60 s of c0 at the ~31-40 ns per term measured on a 2-vCPU Xeon; the
 # doubling ladder 256..2^30 (1,073,741,673 terms) fits, 256..2^31 does not.
 DEFAULT_RESIDUAL_BUDGET = 15 * 10**8
-# Most multiplications a geometric ladder may take; a step barely above 1
-# would otherwise loop for ages before the budget is checked.
+# Most rows an integer ladder, or multiplications a geometric one, may take;
+# either would otherwise take ages or all memory before the budget is checked.
 MAX_LADDER_STEPS = 10**6
 
 EXIT_OK = 0
@@ -275,6 +275,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _residual_bs(b_min: int, b_max: int, step: float | None) -> list[int]:
     if step is None:
+        if b_max - b_min >= MAX_LADDER_STEPS:
+            raise PreconditionError(
+                f"the integer ladder from {b_min} to {b_max} has {b_max - b_min + 1} "
+                f"rows, over the limit {MAX_LADDER_STEPS}; use --geometric-step"
+            )
         return list(range(b_min, b_max + 1))
     if not 1.0 < step < math.inf:
         raise PreconditionError(

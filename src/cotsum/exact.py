@@ -24,9 +24,9 @@ from .numerics import (
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
+    _context,
     _cot_kernel,
     _cot_row,
-    _eval,
     _exact_parts,
     bernoulli,
     sum_strategy,
@@ -101,8 +101,7 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
         for terms in _half_row_chunks(h, k):
             parts += _exact_parts(terms)
         return sum_strategy(parts, cfg)
-
-    def body(mt, pi, real):
+    with _context(cfg) as (mt, pi, real):
         return sum_strategy(
             (
                 _cot_kernel(m * h % k, k, mt, pi) * (k - 2 * m) / k
@@ -110,8 +109,6 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
             ),
             cfg,
         )
-
-    return _eval(cfg, body)
 
 
 def _half_row_chunks(h: int, k: int):
@@ -182,31 +179,26 @@ def estermann_at_zero(
     """
     if alpha < 0:
         raise PreconditionError(f"alpha must be >= 0, got {alpha}")
-
-    def as_real(x: float):
-        # 0.0 and 0.25 are exact binary values; no context needed.
-        if not cfg.extended:
-            return x
-        import mpmath
-
-        return mpmath.mpf(x)
-
     if frac.k == 1 or alpha % 2 == 1:
         value = bernoulli(alpha + 1) / (2 * (alpha + 1))
         if frac.k == 1 and alpha % 2 == 0:
             value = -value
-        num, den = value.numerator, value.denominator
-        real = _eval(cfg, lambda mt, pi, R: R(num) / den)
-        return EstermannValue(real_part=real, imag_part=as_real(0.0), alpha=alpha)
-
+        with _context(cfg) as (mt, pi, real):
+            return EstermannValue(
+                real_part=real(value.numerator) / value.denominator,
+                imag_part=real(0),
+                alpha=alpha,
+            )
     if alpha > MAX_DERIVATIVE_ORDER:
         raise CapacityError(
             f"even alpha {alpha} exceeds derivative maximum {MAX_DERIVATIVE_ORDER}"
         )
     if alpha == 0:
         # -(i/2) sum (m/k) cot(pi*m*h/k) = (i/2) c0(h/k), halved exactly.
-        imag = _eval(cfg, lambda mt, pi, real: c0(frac, cfg) / 2)
-        return EstermannValue(real_part=as_real(0.25), imag_part=imag, alpha=0)
+        with _context(cfg) as (mt, pi, real):
+            return EstermannValue(
+                real_part=real(0.25), imag_part=c0(frac, cfg) / 2, alpha=0
+            )
     h, k = frac.h, frac.k
     coeffs = _cot_derivative_coeffs(alpha)
     # (-i/2)^(alpha+1) with alpha+1 odd is purely imaginary: -i/2^(alpha+1)
@@ -217,7 +209,7 @@ def estermann_at_zero(
     # P_alpha is odd for even alpha and cot(pi*(k-m)*h/k) = -cot(pi*m*h/k), so
     # the terms m and k - m combine into P(cot_m) * (2m - k)/k, as in c0; the
     # middle term of an even k is P(0) = 0.
-    def body(mt, pi, real):
+    with _context(cfg) as (mt, pi, real):
         s = sum_strategy(
             (
                 _horner(coeffs, _cot_kernel(m * h % k, k, mt, pi)) * (2 * m - k) / k
@@ -225,27 +217,22 @@ def estermann_at_zero(
             ),
             cfg,
         )
-        return (sign * s) / scale
-
-    imag = _eval(cfg, body)
-    return EstermannValue(real_part=as_real(0.0), imag_part=imag, alpha=alpha)
+        return EstermannValue(
+            real_part=real(0), imag_part=(sign * s) / scale, alpha=alpha
+        )
 
 
 @lru_cache(maxsize=32)
 def _unit_row(b: int, working_precision: int):
     """cos/sin of 2*pi*j/b for j = 0..b-1, at the requested precision."""
-    cfg = PrecisionConfig(working_precision=working_precision)
-
-    def build(mt, pi, real):
+    with _context(PrecisionConfig(working_precision)) as (mt, pi, real):
         cos_row = [real(1)] * b
         sin_row = [real(0)] * b
         for j in range(1, b):
             theta = (2 * pi * j) / b
             cos_row[j] = mt.cos(theta)
             sin_row[j] = mt.sin(theta)
-        return cos_row, sin_row
-
-    return _eval(cfg, build)
+    return cos_row, sin_row
 
 
 def _gathered(row, step: int, b: int) -> list:
@@ -272,11 +259,10 @@ def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):
         )
     cot = _cot_row(b, cfg.working_precision)
     cos_row, sin_row = _unit_row(b, cfg.working_precision)
-
-    def body(mt, pi, real):
-        half_b = 2 * b
-        cot_tail = cot[1:]
-        parts = [None] * b
+    half_b = 2 * b
+    cot_tail = cot[1:]
+    parts = [None] * b
+    with _context(cfg) as (mt, pi, real):
         for step in {a % b for a in a_values}:
             re_terms = []
             im_terms = []
@@ -296,8 +282,6 @@ def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):
             for a in a_values
             for re, im in [parts[a % b]]
         ]
-
-    return _eval(cfg, body)
 
 
 def floor_identity(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -324,11 +308,7 @@ def cot_cos_identity_residual(
     cot = _cot_row(b, cfg.working_precision)
     cos_row, _ = _unit_row(b, cfg.working_precision)
     step = (n * a) % b
-
-    def body(mt, pi, real):
-        return sum_strategy(map(mul, cot[1:], _gathered(cos_row, step, b)), cfg)
-
-    return _eval(cfg, body)
+    return sum_strategy(map(mul, cot[1:], _gathered(cos_row, step, b)), cfg)
 
 
 def frac_via_cot_sin(
@@ -347,9 +327,6 @@ def frac_via_cot_sin(
         )
     cot = _cot_row(b, cfg.working_precision)
     _, sin_row = _unit_row(b, cfg.working_precision)
-
-    def body(mt, pi, real):
+    with _context(cfg) as (mt, pi, real):
         s = sum_strategy(map(mul, cot[1:], _gathered(sin_row, step, b)), cfg)
         return real(1) / 2 - s / (2 * b)
-
-    return _eval(cfg, body)

@@ -7,22 +7,24 @@ floats with the same exact sum.
 
 Two precision modes are supported: binary64 (the default, 53-bit significand,
 evaluated with the ``math`` module) and an extended mode (> 53 bits, evaluated
-with ``mpmath`` inside a working-precision context).  ``mpmath`` is imported
-only by the extended mode, so a binary64 run never pays for its import.  All
-operations are pure functions of their arguments; the extended mode serialises
-around the shared mpmath context with a re-entrant lock so concurrent callers
-stay safe.
+with ``mpmath`` inside a working-precision context).  Each precision-dependent
+function runs its arithmetic in one ``with _context(cfg) as (mt, pi, real)``
+block.  ``mpmath`` is imported only by the extended mode, so a binary64 run
+never pays for its import.  All operations are pure functions of their
+arguments; the extended mode serialises around the shared mpmath context with
+a re-entrant lock so concurrent callers stay safe.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Callable, Iterable
+from typing import Iterable
 
 __all__ = [
     "CapacityError",
@@ -121,21 +123,31 @@ class ConstantEstimate:
     tail_bound: float
 
 
-def _eval(cfg: PrecisionConfig, body: Callable):
-    """Run ``body(mt, pi, real)`` in the numeric context selected by ``cfg``.
+# The binary64 context: entering it costs no generator frame.
+_BINARY64 = nullcontext((math, math.pi, float))
+
+
+@contextmanager
+def _extended(working_precision: int):
+    import mpmath
+
+    with _MP_LOCK, mpmath.workprec(working_precision):
+        yield mpmath, +mpmath.pi, mpmath.mpf
+
+
+def _context(cfg: PrecisionConfig):
+    """The numeric context of ``cfg``: ``with _context(cfg) as (mt, pi, real):``.
 
     ``mt`` is a math-like module (``math`` or ``mpmath``), ``pi`` the constant
     at working precision, and ``real`` the scalar constructor (``float`` or
-    ``mpmath.mpf``).  Extended-precision bodies run entirely inside one
-    ``mpmath.workprec`` scope so intermediate arithmetic keeps full precision.
+    ``mpmath.mpf``).  In extended precision the block holds the mpmath lock
+    and one ``mpmath.workprec`` scope, so intermediate arithmetic keeps full
+    precision; every mpf operation must stay inside the block, since even a
+    negation outside it rounds to mpmath's ambient 53 bits.
     """
     if cfg.working_precision <= 53:
-        return body(math, math.pi, float)
-    import mpmath
-
-    with _MP_LOCK:
-        with mpmath.workprec(cfg.working_precision):
-            return body(mpmath, +mpmath.pi, mpmath.mpf)
+        return _BINARY64
+    return _extended(cfg.working_precision)
 
 
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -145,11 +157,8 @@ def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG):
     """
     if not cfg.extended:
         return 0.5772156649015329
-    import mpmath
-
-    with _MP_LOCK:
-        with mpmath.workprec(cfg.working_precision + 8):
-            return +mpmath.euler
+    with _extended(cfg.working_precision + 8) as (mt, pi, real):
+        return +mt.euler
 
 
 def log_two_pi(cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -160,11 +169,8 @@ def log_two_pi(cfg: PrecisionConfig = DEFAULT_CONFIG):
     """
     if not cfg.extended:
         return 1.8378770664093456
-    import mpmath
-
-    with _MP_LOCK:
-        with mpmath.workprec(cfg.working_precision + 8):
-            return mpmath.log(2 * (+mpmath.pi))
+    with _extended(cfg.working_precision + 8) as (mt, pi, real):
+        return mt.log(2 * pi)
 
 
 @lru_cache(maxsize=None)
@@ -216,17 +222,13 @@ def _cot_row(k: int, working_precision: int):
     Built once per (k, precision) with the antisymmetry cot(pi*(k-r)/k) =
     -cot(pi*r/k) applied exactly, so paired entries are exact negations.
     """
-    cfg = PrecisionConfig(working_precision=working_precision)
-
-    def build(mt, pi, real):
-        row: list = [None] * k
+    row: list = [None] * k
+    with _context(PrecisionConfig(working_precision)) as (mt, pi, real):
         for r in range(1, k // 2 + 1):
             row[r] = _cot_kernel(r, k, mt, pi)
         for r in range(1, (k + 1) // 2):
             row[k - r] = -row[r]
-        return row
-
-    return _eval(cfg, build)
+    return row
 
 
 def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -237,7 +239,8 @@ def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
     working precision in bits below the running sum.  Terms are taken in the
     order given, so repeated runs are bit-identical.  The empty sum is zero.
     """
-    return _eval(cfg, lambda mt, pi, real: mt.fsum(values))
+    with _context(cfg) as (mt, pi, real):
+        return mt.fsum(values)
 
 
 def _exact_parts(x) -> list[float]:

@@ -366,6 +366,15 @@ def test_residual_scan_spot_values(cfg):
     assert report.sample_bs == [3, 4]
 
 
+def test_residual_scan_delta_keeps_the_working_precision(cfg_ext):
+    # delta is formed at 113 bits, not rounded to mpmath's ambient 53
+    records, _ = residual_scan([256, 4096], cfg_ext)
+    for r in records:
+        with mpmath.workprec(113):
+            expected = r.c0_exact - r.c0_main_terms
+        assert r.delta._mpf_ == expected._mpf_
+
+
 def test_residual_scan_single_b(cfg):
     records, report = residual_scan([3], cfg)
     assert report.slope == 0.0

@@ -498,6 +498,43 @@ def test_residuals_rejects_a_ladder_too_long_to_build():
     assert proc.stdout == ""
 
 
+
+def _two_gb_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_residuals_rejects_an_integer_ladder_too_long_to_build():
+    # 10^12 rows would need about 38 TB as a list; under a 2 GB address-space
+    # limit, building it fails with a MemoryError instead of a clean exit 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotsum", "residuals", "--b-min", "2",
+         "--b-max", str(10**12), "--out", os.devnull],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=30,
+        preexec_fn=_two_gb_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "over the limit" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_residuals_integer_ladder_limit_is_in_rows(capsys):
+    # 2..1000001 is MAX_LADDER_STEPS rows, which only the budget refuses;
+    # one row more is refused by the ladder limit
+    from cotsum import cli
+
+    argv = ["residuals", "--b-min", "2", "--out", os.devnull, "--b-max"]
+    code, _, err = run_cli(capsys, argv + [str(1 + cli.MAX_LADDER_STEPS)])
+    assert code == 2 and "over the budget" in err
+    code, _, err = run_cli(capsys, argv + [str(2 + cli.MAX_LADDER_STEPS)])
+    assert code == 2 and "over the limit" in err
+
+
 # -------------------------------------------------------------- constants
 
 

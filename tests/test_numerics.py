@@ -1,6 +1,8 @@
 """Kernel tests: constants, Bernoulli numbers, cotangent rows, summation."""
 
 import math
+import threading
+from contextlib import nullcontext
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +20,7 @@ from cotsum import (
     log_two_pi,
     sum_strategy,
 )
-from cotsum.numerics import _cot_kernel, _cot_row, _eval, _exact_parts
+from cotsum.numerics import _MP_LOCK, _context, _cot_kernel, _cot_row, _exact_parts
 
 ULP = 2.0**-52
 
@@ -165,10 +167,50 @@ def test_cot_kernel_matches_high_precision_oracle(k, r):
 
 
 def test_cot_kernel_extended_precision(cfg_ext):
-    v = _eval(cfg_ext, lambda mt, pi, real: _cot_kernel(1, 3, mt, pi))
+    with _context(cfg_ext) as (mt, pi, real):
+        v = _cot_kernel(1, 3, mt, pi)
     with mpmath.workprec(160):
         ref = mpmath.cot(mpmath.pi / 3)
         assert abs(v - ref) < mpmath.mpf(2) ** -105
+
+
+def _mp_lock_is_free() -> bool:
+    """Whether another thread can take the mpmath lock (it is re-entrant, so
+    this thread could take it even while holding it)."""
+    free = []
+
+    def probe():
+        got = _MP_LOCK.acquire(blocking=False)
+        if got:
+            _MP_LOCK.release()
+        free.append(got)
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return free[0]
+
+
+def test_context_restores_precision_and_releases_the_lock(cfg, cfg_ext):
+    assert isinstance(_context(cfg), nullcontext)
+    with _context(cfg_ext):
+        assert mpmath.mp.prec == 113
+        assert not _mp_lock_is_free()
+
+    def failing():
+        yield mpmath.mpf(1)
+        raise RuntimeError("iterable failed")
+
+    # the iterable raises inside sum_strategy's block
+    with pytest.raises(RuntimeError, match="iterable failed"):
+        sum_strategy(failing(), cfg_ext)
+    assert mpmath.mp.prec == 53
+    assert _mp_lock_is_free()
+    # sum_strategy returns from inside its block
+    assert sum_strategy([0.5, 0.25], cfg_ext) == 0.75
+    assert mpmath.mp.prec == 53
+    assert _mp_lock_is_free()
 
 
 # ------------------------------------------------------------ sum_strategy
