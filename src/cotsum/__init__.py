@@ -33,7 +33,6 @@ from .exact import (
     cot_cos_identity_residual,
     estermann_at_zero,
     floor_identities,
-    floor_identity,
     frac_via_cot_sin,
 )
 from .numerics import (
@@ -74,7 +73,6 @@ __all__ = [
     "extrapolate_C0",
     "f_term",
     "floor_identities",
-    "floor_identity",
     "frac_via_cot_sin",
     "g_partial",
     "inner_block_expansion",

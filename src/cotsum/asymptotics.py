@@ -135,56 +135,48 @@ def taylor_f2(k: int, b: int) -> float:
 def s_sum_direct(L: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """The weighted floor sum S(L;b) = 2b * sum_{1<=a<=L} floor(a/b)/a.
 
-    Evaluated by the direct definition (floors in exact integers, terms in
-    increasing a; indices a < b contribute zero and are skipped).  Regrouping
-    the sum into blocks of constant floor reproduces it exactly at the
-    truncation (L/b + 1)*b - 1; that identity is exercised by the tests.
+    Evaluated by the direct definition, one block of constant floor(a/b)
+    after another (terms in increasing a; indices a < b contribute zero and
+    are skipped).  Regrouping the sum into blocks of constant floor
+    reproduces it exactly at the truncation (L/b + 1)*b - 1; that identity
+    is exercised by the tests.
     """
     if b < 2:
         raise PreconditionError(f"need b >= 2, got {b}")
     if L % b != 0:
         raise PreconditionError(f"need b | L, got L = {L}, b = {b}")
-
-    def terms(real):
-        q = 0
-        rem = b - 1
-        for a in range(b, L + 1):
-            rem += 1
-            if rem == b:
-                rem = 0
-                q += 1
-            yield real(q) / a
-
     with _context(cfg) as (mt, pi, real):
-        return 2 * b * sum_strategy(terms(real), cfg)
+        return 2 * b * sum_strategy(
+            (
+                real(q) / a
+                for q in range(1, L // b + 1)
+                for a in range(q * b, min(q * b + b, L + 1))
+            ),
+            cfg,
+        )
 
 
 def g_partial(b: int, L: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """G_L(b) = sum_{1<=a<=L, b !| a} [ (b/a)*(1 + 2*floor(a/b)) - 2 ].
 
-    Each term equals (b + 2*b*floor(a/b) - 2*a)/a with the floor taken in
-    exact integers, summed in increasing a; G_L(b)/pi is a partial sum of the
-    conditionally convergent series (1/pi) sum_{b !| a} b*(1 - 2*{a/b})/a
-    for c0(1/b).
+    Each term equals (b + 2*b*q - 2*a)/a with q = floor(a/b), summed in
+    increasing a over the blocks q*b < a < (q+1)*b; G_L(b)/pi is a partial
+    sum of the conditionally convergent series (1/pi) sum_{b !| a}
+    b*(1 - 2*{a/b})/a for c0(1/b).
     """
     if b < 2:
         raise PreconditionError(f"need b >= 2, got {b}")
     if L < b:
         raise PreconditionError(f"need L >= b, got L = {L}, b = {b}")
-
-    def terms(real):
-        q = 0
-        rem = 0
-        for a in range(1, L + 1):
-            rem += 1
-            if rem == b:
-                rem = 0
-                q += 1
-                continue
-            yield real(b + 2 * b * q - 2 * a) / a
-
     with _context(cfg) as (mt, pi, real):
-        return sum_strategy(terms(real), cfg)
+        return sum_strategy(
+            (
+                real(b + 2 * b * q - 2 * a) / a
+                for q in range(L // b + 1)
+                for a in range(q * b + 1, min(q * b + b, L + 1))
+            ),
+            cfg,
+        )
 
 
 def _neville_to_zero(xs: list[float], ys: list):
@@ -270,8 +262,14 @@ def check_C0_nodes(bs: list[int]) -> None:
 
     That takes at least three values of b, each >= 2, strictly increasing.
     """
-    if len(bs) < 3:
-        raise PreconditionError(f"need at least 3 values of b, got {len(bs)}")
+    _check_bs(bs, 3)
+
+
+def _check_bs(bs: list[int], fewest: int) -> None:
+    """PreconditionError unless bs is ``fewest`` or more b >= 2, strictly increasing."""
+    if len(bs) < fewest:
+        noun = "value" if fewest == 1 else "values"
+        raise PreconditionError(f"need at least {fewest} {noun} of b, got {len(bs)}")
     if any(b < 2 for b in bs):
         raise PreconditionError(f"every b must be >= 2, got {bs}")
     if sorted(set(bs)) != list(bs):
@@ -361,12 +359,7 @@ def residual_scan(
     binary64) plus max |delta|: a bounded error term shows a near-zero slope,
     while an error growing like log(b) would show a stable nonzero slope.
     """
-    if not bs:
-        raise PreconditionError("need at least one b")
-    if any(b < 2 for b in bs):
-        raise PreconditionError(f"every b must be >= 2, got {bs}")
-    if sorted(set(bs)) != list(bs):
-        raise PreconditionError(f"bs must be strictly increasing, got {bs}")
+    _check_bs(bs, 1)
     records = []
     for b in bs:
         exact = c0(ReducedFraction(1, b), cfg)

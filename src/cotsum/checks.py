@@ -14,6 +14,11 @@ from .numerics import PrecisionConfig, euler_gamma, log_two_pi
 
 DEFAULT_SEED = 927227
 
+# The floor identity's tolerances at binary64 scale: its imaginary residue
+# to zero, its real part to floor(a/b).
+FLOOR_IMAG_TOL = 1e-9
+FLOOR_ROUND_TOL = 1e-6
+
 
 def worst_residue(residues) -> float:
     """The largest residue, nan if any residue is nan, 0.0 if there are none.
@@ -76,9 +81,8 @@ def floor(size: int | None, seed: int, cfg: PrecisionConfig):
         max_round = worst_residue(
             [abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)]
         )
-        # the checks of exact.floor_identity, on the binary64 residues; a nan
-        # maximum fails both comparisons
-        ok = max_round <= exact.FLOOR_ROUND_TOL and max_im <= exact.FLOOR_IMAG_TOL
+        # on the binary64 residues; a nan maximum fails both comparisons
+        ok = max_round <= FLOOR_ROUND_TOL and max_im <= FLOOR_IMAG_TOL
         cases.append((f"b={b}", ok, max_im))
         imag_residues.append(max_im)
         rounding_distances.append(max_round)

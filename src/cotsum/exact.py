@@ -34,25 +34,17 @@ from .numerics import (
 
 __all__ = [
     "EstermannValue",
-    "FLOOR_IMAG_TOL",
-    "FLOOR_ROUND_TOL",
     "MAX_DERIVATIVE_ORDER",
     "c0",
     "cot_cos_identity_residual",
     "estermann_at_zero",
     "floor_identities",
-    "floor_identity",
     "frac_via_cot_sin",
 ]
 
 # Derivative polynomials have integer coefficients that grow like n!, so the
 # supported order is capped; raise the cap explicitly if you need more.
 MAX_DERIVATIVE_ORDER = 16
-
-# Tolerances for the floor identity's checks (binary64 scale; the identity
-# doubles as a health check of the whole kernel).
-FLOOR_IMAG_TOL = 1e-9
-FLOOR_ROUND_TOL = 1e-6
 
 # c0 works in int64 residues m*h with m <= k/2 and h < k, so k < 2^32.
 _C0_MAX_K = 2**32
@@ -84,7 +76,8 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
         c0(h/k) = sum_{m=1}^{(k-1)//2} cot(pi*r_m/k) * (k - 2m)/k,  r_m = m*h mod k,
 
     each cotangent by :func:`_cot_kernel`'s folding and quadrant choice, in
-    one correctly rounded sum.  In binary64 each numpy chunk of terms is first
+    one correctly rounded sum (:func:`_half_row_sum` with P(u) = u in
+    extended precision).  In binary64 each numpy chunk of terms is first
     reduced without error to a few floats with the same exact sum
     (:func:`_exact_parts`), so that sum rounds as a sum of the terms would.
     No row is built: cost O(k) time, and memory bounded by one chunk of
@@ -101,14 +94,7 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
         for terms in _half_row_chunks(h, k):
             parts += _exact_parts(terms)
         return sum_strategy(parts, cfg)
-    with _context(cfg) as (mt, pi, real):
-        return sum_strategy(
-            (
-                _cot_kernel(m * h % k, k, mt, pi) * (k - 2 * m) / k
-                for m in range(1, (k - 1) // 2 + 1)
-            ),
-            cfg,
-        )
+    return _half_row_sum(h, k, _cot_derivative_coeffs(0), cfg)
 
 
 def _half_row_chunks(h: int, k: int):
@@ -164,6 +150,21 @@ def _horner(coeffs: tuple[int, ...], u):
     return acc
 
 
+def _half_row_sum(h: int, k: int, coeffs: tuple[int, ...], cfg: PrecisionConfig):
+    """sum_{m=1}^{(k-1)//2} P(cot(pi*r_m/k)) * (k - 2m)/k with r_m = m*h mod k.
+
+    P has the integer ``coeffs``; one correctly rounded sum, no row kept.
+    """
+    with _context(cfg) as (mt, pi, real):
+        return sum_strategy(
+            (
+                _horner(coeffs, _cot_kernel(m * h % k, k, mt, pi)) * (k - 2 * m) / k
+                for m in range(1, (k - 1) // 2 + 1)
+            ),
+            cfg,
+        )
+
+
 def estermann_at_zero(
     frac: ReducedFraction, alpha: int, cfg: PrecisionConfig = DEFAULT_CONFIG
 ) -> EstermannValue:
@@ -174,8 +175,8 @@ def estermann_at_zero(
     even alpha: (-i/2)^(alpha+1) sum_{m=1}^{k-1} (m/k) cot^(alpha)(pi*m*h/k)
                 + 1/4 when alpha = 0, where the sum is -c0(h/k).
 
-    For even alpha >= 2 the sum streams over half the row like :func:`c0`,
-    with no row kept.
+    For even alpha >= 2 the sum is :func:`_half_row_sum` with P_alpha, the
+    polynomial in cot of cot^(alpha), like :func:`c0`'s with no row kept.
     """
     if alpha < 0:
         raise PreconditionError(f"alpha must be >= 0, got {alpha}")
@@ -199,26 +200,16 @@ def estermann_at_zero(
             return EstermannValue(
                 real_part=real(0.25), imag_part=c0(frac, cfg) / 2, alpha=0
             )
-    h, k = frac.h, frac.k
-    coeffs = _cot_derivative_coeffs(alpha)
     # (-i/2)^(alpha+1) with alpha+1 odd is purely imaginary: -i/2^(alpha+1)
     # when alpha = 0 (mod 4) and +i/2^(alpha+1) when alpha = 2 (mod 4).
     sign = -1 if alpha % 4 == 0 else 1
-    scale = 2 ** (alpha + 1)
-
-    # P_alpha is odd for even alpha and cot(pi*(k-m)*h/k) = -cot(pi*m*h/k), so
-    # the terms m and k - m combine into P(cot_m) * (2m - k)/k, as in c0; the
-    # middle term of an even k is P(0) = 0.
+    # P_alpha is odd and cot(pi*(k-m)*h/k) = -cot(pi*m*h/k), so the terms m
+    # and k - m combine into P(cot_m) * (2m - k)/k: the sum is 0 - s, exactly,
+    # and an empty s (k = 2) gives +0.0 where -s would give -0.0.
+    s = _half_row_sum(frac.h, frac.k, _cot_derivative_coeffs(alpha), cfg)
     with _context(cfg) as (mt, pi, real):
-        s = sum_strategy(
-            (
-                _horner(coeffs, _cot_kernel(m * h % k, k, mt, pi)) * (2 * m - k) / k
-                for m in range(1, (k - 1) // 2 + 1)
-            ),
-            cfg,
-        )
         return EstermannValue(
-            real_part=real(0), imag_part=(sign * s) / scale, alpha=alpha
+            real_part=real(0), imag_part=sign * (0 - s) / 2 ** (alpha + 1), alpha=alpha
         )
 
 
@@ -248,18 +239,19 @@ def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):
         floor(a/b) = a/b + 1/(2b) - 1/2
                      + (1/(2b)) sum_{m=1}^{b-1} (1 - i*cot(pi*m/b)) e^(2*pi*i*m*a/b)
 
-    ``a_values`` is a sequence of integers a >= 1; the pairs come back in its
-    order.  The exponential has period b in a, so the sum's real and imaginary
-    parts are each formed, correctly rounded, once per residue class a mod b
-    present, and every a of a class only adds its own a/b.
+    ``a_values`` is an iterable of integers a >= 1, read once; the pairs come
+    back in its order.  The exponential has period b in a, so the sum's real
+    and imaginary parts are each formed, correctly rounded, once per residue
+    class a mod b present, and every a of a class only adds its own a/b.
     """
+    a_values = list(a_values)
     if b < 2 or min(a_values, default=1) < 1:
         raise PreconditionError(
             f"need a >= 1 and b >= 2, got a = {min(a_values, default=None)}, b = {b}"
         )
     cot = _cot_row(b, cfg.working_precision)
     cos_row, sin_row = _unit_row(b, cfg.working_precision)
-    half_b = 2 * b
+    two_b = 2 * b
     cot_tail = cot[1:]
     parts = [None] * b
     with _context(cfg) as (mt, pi, real):
@@ -272,28 +264,16 @@ def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):
                 re_terms.append(wr + c * wi)
                 im_terms.append(wi - c * wr)
             parts[step] = (
-                sum_strategy(re_terms, cfg) / half_b,
-                sum_strategy(im_terms, cfg) / half_b,
+                sum_strategy(re_terms, cfg) / two_b,
+                sum_strategy(im_terms, cfg) / two_b,
             )
-        offset = real(1) / half_b
+        offset = real(1) / two_b
         half = real(1) / 2
         return [
             (real(a) / b + offset - half + re, im)
             for a in a_values
             for re, im in [parts[a % b]]
         ]
-
-
-def floor_identity(a: int, b: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """The expression for floor(a/b) of :func:`floor_identities` and its checks.
-
-    Returns ``(real, imag, real_ok, imag_ok)``: ``real_ok`` says whether the
-    real part lies within ``FLOOR_ROUND_TOL`` (1e-6) of the exact floor a // b,
-    ``imag_ok`` whether the imaginary residue lies within ``FLOOR_IMAG_TOL``
-    (1e-9) of zero.  A nan part fails its check.
-    """
-    ((re, im),) = floor_identities(b, [a], cfg)
-    return re, im, abs(re - a // b) <= FLOOR_ROUND_TOL, abs(im) <= FLOOR_IMAG_TOL
 
 
 def cot_cos_identity_residual(

@@ -22,8 +22,9 @@ from cotsum import (
     taylor_f1,
     taylor_f2,
 )
-from cotsum import asymptotics
+from cotsum import asymptotics, g_partial
 from cotsum.asymptotics import _neville_to_zero, _r_checkpoints, _r_terms
+from cotsum.numerics import _context, sum_strategy
 
 
 def closed_form_constant(cfg) -> float:
@@ -140,6 +141,55 @@ def test_s_sum_direct_matches_rational_oracle(cfg):
     for b, L in [(2, 64), (5, 200), (9, 450)]:
         oracle = 2 * b * sum(Fraction(a // b, a) for a in range(1, L + 1))
         assert s_sum_direct(L, b, cfg) == pytest.approx(float(oracle), rel=1e-13)
+
+
+def _s_sum_counter(L, b, cfg):
+    """s_sum_direct's earlier loop: a = b..L with floor(a/b) kept by a counter."""
+
+    def terms(real):
+        q = 0
+        rem = b - 1
+        for a in range(b, L + 1):
+            rem += 1
+            if rem == b:
+                rem = 0
+                q += 1
+            yield real(q) / a
+
+    with _context(cfg) as (mt, pi, real):
+        return 2 * b * sum_strategy(terms(real), cfg)
+
+
+def _g_partial_counter(b, L, cfg):
+    """g_partial's earlier loop: a = 1..L with floor(a/b) kept by a counter."""
+
+    def terms(real):
+        q = 0
+        rem = 0
+        for a in range(1, L + 1):
+            rem += 1
+            if rem == b:
+                rem = 0
+                q += 1
+                continue
+            yield real(b + 2 * b * q - 2 * a) / a
+
+    with _context(cfg) as (mt, pi, real):
+        return sum_strategy(terms(real), cfg)
+
+
+def _bits(x):
+    return (type(x), x.hex() if isinstance(x, float) else x._mpf_)
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+def test_block_loops_match_the_counter_loop(precision):
+    # one-term blocks (b = 2), L = b, L = b + 1 and L = q*b +/- 1, bit for bit
+    cfg = PrecisionConfig(working_precision=precision)
+    for b, L in [(2, 2), (2, 10), (7, 7), (7, 14), (7, 70), (10, 60)]:
+        assert _bits(s_sum_direct(L, b, cfg)) == _bits(_s_sum_counter(L, b, cfg))
+    for b, L in [(2, 2), (2, 3), (2, 11), (7, 7), (7, 8), (7, 20), (7, 22), (7, 100)]:
+        assert _bits(g_partial(b, L, cfg)) == _bits(_g_partial_counter(b, L, cfg))
 
 
 # ---------------------------------------------------------------- r series

@@ -21,7 +21,7 @@ from cotsum import (
     checks,
     cot_cos_identity_residual,
     estermann_at_zero,
-    floor_identity,
+    floor_identities,
     frac_via_cot_sin,
     sum_strategy,
 )
@@ -205,6 +205,14 @@ def test_estermann_even_alpha_structure(cfg):
     assert w.real_part == 0.0
 
 
+def test_estermann_empty_half_row_keeps_the_sign_of_zero(cfg):
+    # k = 2 has no half-row term: the zero takes the sign of the prefactor,
+    # -0.0 when alpha = 0 (mod 4) and +0.0 when alpha = 2 (mod 4)
+    for alpha, bits in ((2, "0x0.0p+0"), (4, "-0x0.0p+0"), (6, "0x0.0p+0")):
+        value = estermann_at_zero(ReducedFraction(1, 2), alpha, cfg)
+        assert value.imag_part.hex() == bits
+
+
 def test_estermann_even_alpha_against_120_bits(cfg, cfg_ext):
     # the half-row sum against the full row sum_{m=1}^{k-1} (m/k) P(cot) at
     # 120 bits, in ulps of the larger of the value and the largest scaled
@@ -272,50 +280,59 @@ def test_cot_derivative_matches_finite_difference():
             assert got == pytest.approx(fd, rel=1e-4)
 
 
-# ------------------------------------------------------- floor_identity
+# ------------------------------------------------------- floor_identities
+
+
+def _floor_ok(a, b, re, im):
+    """The floor suite's checks of one a: real part and imaginary residue."""
+    return (
+        abs(re - a // b) <= checks.FLOOR_ROUND_TOL and abs(im) <= checks.FLOOR_IMAG_TOL
+    )
 
 
 def test_floor_examples(cfg):
     for a, b, floor in ((7, 3, 2), (6, 3, 2), (1, 97, 0)):
-        re, im, real_ok, imag_ok = floor_identity(a, b, cfg)
-        assert real_ok and imag_ok
+        ((re, im),) = floor_identities(b, [a], cfg)
+        assert _floor_ok(a, b, re, im)
         assert round(re) == floor
 
 
 @given(a=st.integers(min_value=1, max_value=10**6), b=st.integers(min_value=2, max_value=300))
 def test_floor_property(a, b):
-    re, im, real_ok, imag_ok = floor_identity(a, b)
-    assert real_ok and imag_ok
+    ((re, im),) = floor_identities(b, [a])
+    assert _floor_ok(a, b, re, im)
     assert round(re) == a // b
 
 
 def test_floor_preconditions(cfg):
     with pytest.raises(PreconditionError):
-        floor_identity(0, 3, cfg)
+        floor_identities(3, [0], cfg)
     with pytest.raises(PreconditionError):
-        floor_identity(3, 1, cfg)
+        floor_identities(1, [3], cfg)
 
 
 def test_floor_identity_reports_its_checks(cfg, monkeypatch):
-    re, im, real_ok, imag_ok = floor_identity(7, 3, cfg)
+    ((re, im),) = floor_identities(3, [7], cfg)
     assert re == pytest.approx(2.0, abs=1e-12)
     assert abs(im) <= 1e-12
-    assert real_ok and imag_ok
+    cases, _ = checks.floor(3, checks.DEFAULT_SEED, cfg)
+    assert [passed for _, passed, _ in cases] == [True, True]
     # a real part 1e-5 off the floor, an imaginary residue of 1e-8, or a nan
-    # part fails; 5e-7 and 5e-10 pass
-    for re, im, real_ok, imag_ok in (
-        (2.0000005, 5e-10, True, True),
-        (2.00001, 0.0, False, True),
-        (2.0, 1e-8, True, False),
-        (math.nan, 0.0, False, True),
-        (2.0, math.nan, True, False),
+    # part fails the suite's case; 5e-7 and 5e-10 pass
+    for d_re, d_im, ok in (
+        (5e-7, 5e-10, True),
+        (1e-5, 0.0, False),
+        (0.0, 1e-8, False),
+        (math.nan, 0.0, False),
+        (0.0, math.nan, False),
     ):
         monkeypatch.setattr(
             cotsum.exact,
             "floor_identities",
-            lambda b, a_values, cfg: [(re, im)] * len(a_values),
+            lambda b, a_values, cfg: [(a // b + d_re, d_im) for a in a_values],
         )
-        assert floor_identity(7, 3, cfg) == (re, im, real_ok, imag_ok)
+        cases, _ = checks.floor(3, checks.DEFAULT_SEED, cfg)
+        assert [passed for _, passed, _ in cases] == [ok, ok]
 
 
 def _floor_oracle(a_values, b, precision):
@@ -362,9 +379,6 @@ def test_floor_sums_are_computed_once_per_residue_class(b, precision, monkeypatc
         [a, a + 3 * b], b, precision
     )
     assert summed == [b - 1, b - 1]
-    first = floor_identity(a, b, cfg)
-    second = floor_identity(a + 3 * b, b, cfg)
-    assert first[2:] == second[2:] == (True, True)
     # a = 1..3b covers every class three times: one pair of sums per class
     summed.clear()
     assert len(cotsum.exact.floor_identities(b, range(1, 3 * b + 1), cfg)) == 3 * b
@@ -391,6 +405,14 @@ def test_floor_suite_matches_the_per_a_reference(precision):
         rounding.append(max(abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)))
     extra = {"max_imag_residue": max(imag), "max_rounding_distance": max(rounding)}
     assert checks.floor(12, checks.DEFAULT_SEED, cfg) == (cases, extra)
+
+
+def test_floor_identities_takes_a_one_shot_iterable(cfg):
+    # a generator is read once, so it gives what the list gives
+    assert floor_identities(5, (a for a in [7, 8]), cfg) == floor_identities(
+        5, [7, 8], cfg
+    )
+    assert len(floor_identities(5, iter([7, 8]), cfg)) == 2
 
 
 def test_floor_identities_preconditions(cfg):
