@@ -90,6 +90,39 @@ def test_c0_powers_of_two_match_the_full_row(cfg):
         assert c0(ReducedFraction(1, k), cfg) == full_row
 
 
+# c0(h/k).hex() at the residuals ladder's rows b = 2^8..2^22 (h = 1) and at
+# three larger arguments, as computed by the m-indexed half-row kernel.
+C0_PINNED_HEX = {
+    (1, 2**8): "0x1.5d73d2440e4bep+8",
+    (1, 2**9): "0x1.95c69640df0e2p+9",
+    (1, 2**10): "0x1.ce2dc5ff19f99p+10",
+    (1, 2**11): "0x1.034f943ce58fep+12",
+    (1, 2**12): "0x1.1f8ad1c4d3c8ep+13",
+    (1, 2**13): "0x1.3bc75558ead9cp+14",
+    (1, 2**14): "0x1.58047beccdd7cp+15",
+    (1, 2**15): "0x1.7441f3ff04acbp+16",
+    (1, 2**16): "0x1.907f94d000e51p+17",
+    (1, 2**17): "0x1.acbd4a0046ad4p+18",
+    (1, 2**18): "0x1.c8fb09602af4cp+19",
+    (1, 2**19): "0x1.e538cdd7dce9ep+20",
+    (1, 2**20): "0x1.00bb4a6dbaa8ap+22",
+    (1, 2**21): "0x1.0eda2e92806c5p+23",
+    (1, 2**22): "0x1.1cf91308c2f4ep+24",
+    (1234567, 2**22 + 1): "0x1.73c875eed7da0p+19",
+    (2**22, 2**22 + 1): "-0x1.1cf917ce24021p+24",
+    (3, 2**20 + 1): "0x1.48e3fba914580p+20",
+}
+
+
+@pytest.mark.parametrize("h, k", sorted(C0_PINNED_HEX))
+def test_c0_pinned_bits(cfg, h, k):
+    # any rewrite of the binary64 kernel must keep these bits, and keep
+    # c0((k-h)/k) the exact negation of c0(h/k)
+    value = c0(ReducedFraction(h, k), cfg)
+    assert value.hex() == C0_PINNED_HEX[h, k]
+    assert c0(ReducedFraction(k - h, k), cfg).hex() == (-value).hex()
+
+
 def _half_row_chunks_reference(h, k):
     """The half-row terms as first written: np.where for the fold and sign."""
     end = (k - 1) // 2 + 1
