@@ -41,7 +41,7 @@ from .numerics import (
 
 __all__ = ["OutputRecord", "build_parser", "main", "entrypoint"]
 
-# About 60 s of c0 at the ~31-40 ns per term measured on a 2-vCPU Xeon; the
+# About 20 s of c0 at the ~12 ns per term measured on a 2-vCPU Xeon; the
 # doubling ladder 256..2^30 (1,073,741,673 terms) fits, 256..2^31 does not.
 DEFAULT_RESIDUAL_BUDGET = 15 * 10**8
 # Most rows an integer ladder, or multiplications a geometric one, may take;

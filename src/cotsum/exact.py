@@ -46,7 +46,8 @@ __all__ = [
 # supported order is capped; raise the cap explicitly if you need more.
 MAX_DERIVATIVE_ORDER = 16
 
-# c0 works in int64 residues m*h with m <= k/2 and h < k, so k < 2^32.
+# The binary64 c0 forms r*h^-1 mod k in int64 with r < k/2 and h^-1 < k, so
+# k < 2^32 keeps the product below 2^63.
 _C0_MAX_K = 2**32
 # Terms per numpy chunk of the binary64 c0.
 _C0_CHUNK = 1 << 14
@@ -77,12 +78,18 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
 
     each cotangent by :func:`_cot_kernel`'s folding and quadrant choice, in
     one correctly rounded sum (:func:`_half_row_sum` with P(u) = u in
-    extended precision).  In binary64 each numpy chunk of terms is first
-    reduced without error to a few floats with the same exact sum
-    (:func:`_exact_parts`), so that sum rounds as a sum of the terms would.
-    No row is built: cost O(k) time, and memory bounded by one chunk of
-    terms.  Because the fold keeps the sign exactly, c0((k-h)/k) is bitwise
-    -c0(h/k).  k must be below 2^32 (:class:`CapacityError`).
+    extended precision).  In binary64 the same terms are built in the order
+    of the folded residue r instead (:func:`_half_row_chunks`):
+
+        c0(h/k) = sum_{r=1}^{(k-1)//2} cot(pi*r/k) * (k - 2*m_r)/k,  m_r = r*h^-1 mod k,
+
+    and each numpy chunk of terms is reduced without error to a few floats
+    with the same exact sum (:func:`_exact_parts`), so that sum rounds once,
+    as one fsum of the terms in any order would: the order of the terms
+    cannot change the bits.  No row is built: cost O(k) time, and memory
+    bounded by one chunk of terms.  Because the fold keeps the sign exactly,
+    c0((k-h)/k) is bitwise -c0(h/k).  k must be below 2^32
+    (:class:`CapacityError`).
     """
     h, k = frac.h, frac.k
     if k < 2:
@@ -100,30 +107,49 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
 def _half_row_chunks(h: int, k: int):
     """Binary64 terms of c0's half-row sum, as float64 arrays of up to _C0_CHUNK.
 
-    Each term repeats :func:`_cot_kernel`'s operations elementwise: fold r to
-    min(r, k - r), then 1/tan(pi*r/k) if 4r <= k, else tan(pi*(k - 2r)/(2k));
-    then times the weight (k - 2m), negated where the fold flipped the sign,
-    over k.  Negating the weight instead of the cotangent gives the same bits.
+    The terms are indexed by the folded residue r = 1..(k-1)//2, not by m:
+
+        c0(h/k) = sum_{r=1}^{(k-1)//2} cot(pi*r/k) * (k - 2*m_r)/k,  m_r = r*h^-1 mod k.
+
+    The m of the half row with m*h = +-r (mod k) is m_r or k - m_r,
+    whichever is below k/2, and either way its signed weight is k - 2*m_r.
+    So these are the m-indexed terms, each formed from the same floats by
+    :func:`_cot_kernel`'s operations: for r <= k//4 (one contiguous near
+    range) 1/tan(pi*r/k), for k//4 < r (one contiguous far range)
+    tan(pi*(k - 2r)/(2k)); then times the weight, over k.  No term needs a
+    fold, a sign or a mask.  With h = 1, m_r = r, so the weight k - 2r is
+    also the far angle's numerator.  Every integer is exact in float64.
     """
     # Imported here: numpy's import would cost every other command ~0.1 s.
     import numpy as np
 
-    end = (k - 1) // 2 + 1
-    for start in range(1, end, _C0_CHUNK):
-        m = np.arange(start, min(start + _C0_CHUNK, end), dtype=np.int64)
-        r = m * h
-        r %= k
-        w = k - 2 * m
-        np.negative(w, out=w, where=2 * r > k)
-        r = np.minimum(r, k - r)
-        near = 4 * r <= k
-        t = np.where(near, r, k - 2 * r) * np.pi
-        t /= np.where(near, k, 2 * k)
-        np.tan(t, out=t)
-        np.reciprocal(t, out=t, where=near)
-        t *= w
-        t /= k
-        yield t
+    inv = pow(h, -1, k)
+    quarter, half = k // 4, (k - 1) // 2
+    for near, lo, hi in ((True, 1, quarter + 1), (False, quarter + 1, half + 1)):
+        for start in range(lo, hi, _C0_CHUNK):
+            stop = min(start + _C0_CHUNK, hi)
+            # k - 2r for r = start..stop-1: the far angle's numerator and,
+            # with h = 1, the weight
+            w = np.arange(k - 2 * start, k - 2 * stop, -2, dtype=np.float64)
+            if near:
+                t = np.arange(start, stop, dtype=np.float64)
+                t *= np.pi
+                t /= k
+                np.tan(t, out=t)
+                np.reciprocal(t, out=t)
+            else:
+                t = w * np.pi
+                t /= 2 * k
+                np.tan(t, out=t)
+            if inv != 1:
+                w = np.arange(start, stop, dtype=np.int64)
+                w *= inv
+                w %= k
+                w *= -2
+                w += k
+            t *= w
+            t /= k
+            yield t
 
 
 @lru_cache(maxsize=None)

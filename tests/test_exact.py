@@ -139,29 +139,63 @@ def _half_row_chunks_reference(h, k):
 
 
 def test_half_row_chunks_match_the_reference_bitwise(cfg):
-    # chunk by chunk and bit for bit, sign included; k = 2*2^14 +- 1 puts the
-    # half row's end on either side of a chunk boundary.  c0 stays one
+    # the kernel walks the folded residue r, not m, so its chunks differ from
+    # the reference's, but its terms are the same multiset bit for bit, sign
+    # included.  k = 2*2^14 +- 1 puts the half row's end on either side of a
+    # chunk boundary; k = 4*2^14 + {-1, 0, 1, 4, 5} and 8*2^14 +- 1 put the
+    # near/far boundary k//4 on, before and after one.  c0 stays one
     # correctly rounded fsum of exactly these terms.
     rng = random.Random(1410)
     ks = [2, 3, 4, 5, 6, 8, 12, 2**15 - 1, 2**15 + 1, 2**15 + 3, 2**16 + 1, 2**17 - 1]
     ks += [rng.randrange(2, 10**5) for _ in range(20)]
     ks += [2 * rng.randrange(2, 10**5) for _ in range(10)]
+    ks += [4 * _C0_CHUNK + d for d in (-1, 0, 1, 4, 5)]
+    ks += [8 * _C0_CHUNK - 1, 8 * _C0_CHUNK + 1]
     cases = []
     for k in ks:
         for h in (1, k - 1, rng.randrange(1, k)):
             while gcd(h, k) != 1:
                 h = h % (k - 1) + 1
             cases.append((h, k))
-    assert len(set(cases)) >= 50
+    assert len(set(cases)) >= 70
     for h, k in sorted(set(cases)):
         got = list(_half_row_chunks(h, k))
         want = list(_half_row_chunks_reference(h, k))
-        assert len(got) == len(want) == -(-((k - 1) // 2) // _C0_CHUNK), (h, k)
-        for a, b in zip(got, want):
-            assert a.dtype == np.float64 and a.shape == b.shape, (h, k)
-            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (h, k)
+        for chunk in got:
+            assert chunk.dtype == np.float64 and 0 < chunk.size <= _C0_CHUNK, (h, k)
+        got_bits = np.sort(np.concatenate([np.empty(0), *got]).view(np.int64))
+        want_bits = np.sort(np.concatenate([np.empty(0), *want]).view(np.int64))
+        assert got_bits.size == (k - 1) // 2, (h, k)
+        assert np.array_equal(got_bits, want_bits), (h, k)
         terms = [v for chunk in want for v in chunk.tolist()]
         assert c0(ReducedFraction(h, k), cfg).hex() == math.fsum(terms).hex(), (h, k)
+
+
+def test_np_tan_within_one_ulp_on_the_kernels_arguments():
+    # The binary64 c0 takes np.tan's error as at most 1 ulp.  Sample the
+    # arguments _half_row_chunks gives it at h = 1, r*pi/k for r <= k//4 and
+    # (k - 2r)*pi/(2k) above, check that they rebuild the kernel's terms bit
+    # for bit, and check np.tan on them against 120-bit mpmath, so that a
+    # numpy with a worse tan fails here.
+    rng = random.Random(2718)
+    for k in (7, 1000, 4 * _C0_CHUNK + 5, 10**6 + 3, 2**20):
+        quarter, half = k // 4, (k - 1) // 2
+        terms = np.concatenate(list(_half_row_chunks(1, k)))
+        picks = {1, quarter, quarter + 1, half} | {
+            rng.randint(1, half) for _ in range(400)
+        }
+        r = np.array(sorted(p for p in picks if 1 <= p <= half), dtype=np.float64)
+        near = r <= quarter
+        arg = np.where(near, r * np.pi / k, (k - 2 * r) * np.pi / (2 * k))
+        assert ((0 < arg) & (arg < 0.786)).all(), k
+        tan = np.tan(arg)
+        rebuilt = np.where(near, 1 / tan, tan) * (k - 2 * r) / k
+        got = terms[r.astype(np.int64) - 1]
+        assert np.array_equal(rebuilt.view(np.int64), got.view(np.int64)), k
+        with mpmath.workprec(120):
+            for x, y in zip(arg.tolist(), tan.tolist()):
+                exact = mpmath.tan(mpmath.mpf(x))
+                assert abs(y - exact) <= math.ulp(float(exact)), (k, x)
 
 
 def test_c0_binary64_against_120_bits(cfg):
