@@ -9,11 +9,12 @@ against mpf, fails.  To re-record after a declared change of bits, print
 """
 
 import dataclasses
+import hashlib
 
 import mpmath
 import pytest
 
-from cotsum import PrecisionConfig, ReducedFraction
+from cotsum import PrecisionConfig, ReducedFraction, checks
 from cotsum.asymptotics import (
     c0_main_terms,
     estimate_C0,
@@ -193,3 +194,42 @@ GOLDEN = {
 def test_bits_are_unchanged(name, precision):
     got = _bits(CASES[name](PrecisionConfig(working_precision=precision)))
     assert got == GOLDEN[f"{name}@{precision}"]
+
+
+# Whole identity suites, whose larger b gather the unit rows in more than one
+# run of residues (at 113 bits from size 40 on).  Per (suite, size, precision):
+# the sha256 of repr(suite(size, DEFAULT_SEED, cfg)), which holds every case's
+# residue, and the worst residues as float hex.
+SUITES = {"floor": checks.floor, "prop1": checks.prop1}
+
+SUITE_GOLDEN = {
+    ("floor", 100, 53): (
+        "06c0761623a1f7edbeb91bf5bec362319861cf2f9c23afca2eb2a63dcb48980a",
+        {"max_imag_residue": "0x1.262303aa52c2cp-52",
+         "max_rounding_distance": "0x1.0000000000000p-44"},
+    ),
+    ("prop1", 200, 53): (
+        "fc601b7797a55238eb3194537d020cc7ffa33fd74904b36673c46bc824837159",
+        {"max_cot_cos_residue": "0x1.35b2000000000p-44",
+         "max_frac_error": "0x1.8000000000000p-52"},
+    ),
+    ("floor", 40, 113): (
+        "7362d787fee0ff28589442b808200a96b303ca7d84d86b91a35ebf3925e2e300",
+        {"max_imag_residue": "0x1.c6db6db6db6dbp-113",
+         "max_rounding_distance": "0x1.0000000000000p-112"},
+    ),
+    ("prop1", 40, 113): (
+        "1c6f5165ecf23b93d767ae5f52029e25d40896679c8d7824e9c22974f5b97c8c",
+        {"max_cot_cos_residue": "0x1.4aa0000000000p-107",
+         "max_frac_error": "0x0.0p+0"},
+    ),
+}
+
+
+@pytest.mark.parametrize("suite, size, precision", sorted(SUITE_GOLDEN))
+def test_suite_bits_are_unchanged(suite, size, precision):
+    cfg = PrecisionConfig(working_precision=precision)
+    result = SUITES[suite](size, checks.DEFAULT_SEED, cfg)
+    digest = hashlib.sha256(repr(result).encode()).hexdigest()
+    extra = {name: value.hex() for name, value in result[1].items()}
+    assert (digest, extra) == SUITE_GOLDEN[suite, size, precision]
