@@ -240,9 +240,18 @@ def estermann_at_zero(
         )
 
 
-@lru_cache(maxsize=32)
+# Copies of one period laid end to end in each unit row: a gather takes about
+# step/_ROW_COPIES + 1 slices, and a row holds _ROW_COPIES * b entries.
+_ROW_COPIES = 32
+
+
+# The suites walk b upwards, so only the last few rows are ever reused.
+@lru_cache(maxsize=4)
 def _unit_row(b: int, working_precision: int):
-    """cos/sin of 2*pi*j/b for j = 0..b-1, at the requested precision."""
+    """cos/sin of 2*pi*j/b, at the requested precision, laid _ROW_COPIES times.
+
+    Entry j + t*b is the same object as entry j, so the rows have period b.
+    """
     with _context(PrecisionConfig(working_precision)) as (mt, pi, real):
         cos_row = [real(1)] * b
         sin_row = [real(0)] * b
@@ -250,14 +259,24 @@ def _unit_row(b: int, working_precision: int):
             theta = (2 * pi * j) / b
             cos_row[j] = mt.cos(theta)
             sin_row[j] = mt.sin(theta)
-    return cos_row, sin_row
+    return cos_row * _ROW_COPIES, sin_row * _ROW_COPIES
 
 
 def _gathered(row, step: int, b: int) -> list:
-    """row[m*step mod b] for m = 1..b-1 (0 <= step < b)."""
+    """row[m*step mod b] for m = 1..b-1 (0 <= step < b) from a row of period b.
+
+    Each run of m whose m*step, counted from m*step mod b, stays inside the
+    row is one extended slice.
+    """
     if step == 0:
         return [row[0]] * (b - 1)
-    return [row[i % b] for i in range(step, step * b, step)]
+    out, m, end = [], 1, len(row)
+    while m < b:
+        start = m * step % b
+        stop = min(start + (b - m) * step, end)
+        out += row[start:stop:step]
+        m += (stop - start + step - 1) // step
+    return out
 
 
 def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):

@@ -2,8 +2,10 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
+from operator import is_
 
 import mpmath
 import numpy as np
@@ -25,7 +27,15 @@ from cotsum import (
     frac_via_cot_sin,
     sum_strategy,
 )
-from cotsum.exact import _C0_CHUNK, _cot_derivative_coeffs, _half_row_chunks, _horner
+from cotsum.exact import (
+    _C0_CHUNK,
+    _ROW_COPIES,
+    _cot_derivative_coeffs,
+    _gathered,
+    _half_row_chunks,
+    _horner,
+    _unit_row,
+)
 from cotsum.numerics import _cot_kernel, _cot_row
 
 ULP = 2.0**-52
@@ -527,6 +537,41 @@ def test_frac_identity_property(a, b, n):
     value = frac_via_cot_sin(a, b, n)
     assert 0.0 <= value < 1.0
     assert value == pytest.approx(((n * a) % b) / b, abs=1e-10)
+
+
+# ---------------------------------------------------------- unit-row gathers
+
+
+def _assert_gathers_match_the_modular_reference(b: int, precision: int):
+    # every step, both rows: the same objects as row[m*step % b], m = 1..b-1
+    m = np.arange(1, b)
+    for row in _unit_row(b, precision):
+        assert len(row) == _ROW_COPIES * b
+        period = np.array(row[:b], dtype=object)
+        for step in range(b):
+            got = _gathered(row, step, b)
+            expected = period[m * step % b].tolist()
+            assert len(got) == b - 1 and all(map(is_, got, expected)), (b, step)
+
+
+def test_gathered_is_the_modular_gather_for_every_step():
+    for b in [*range(2, 301), 997, 1024, 4097]:
+        _assert_gathers_match_the_modular_reference(b, 53)
+    _assert_gathers_match_the_modular_reference(97, 113)
+
+
+def test_identity_rows_grow_linearly_in_b(cfg):
+    # prop1 over b = 2..200 with every row built inside the traced run: rows
+    # of O(b) entries peak well under 1 MiB, rows of O(b^2) near 2 MiB
+    _unit_row.cache_clear()
+    _cot_row.cache_clear()
+    tracemalloc.start()
+    try:
+        checks.prop1(200, checks.DEFAULT_SEED, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ----------------------------------------------------------- row-sum zero
