@@ -265,8 +265,9 @@ def _unit_row(b: int, working_precision: int):
 def _gathered(row, step: int, b: int) -> list:
     """row[m*step mod b] for m = 1..b-1 (0 <= step < b) from a row of period b.
 
-    Each run of m whose m*step, counted from m*step mod b, stays inside the
-    row is one extended slice.
+    From start = m*step mod b the next entries lie at start + step,
+    start + 2*step, ... for as long as they stay inside the row, so each such
+    run of m is one extended slice row[start:stop:step].
     """
     if step == 0:
         return [row[0]] * (b - 1)

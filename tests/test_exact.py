@@ -562,7 +562,7 @@ def test_gathered_is_the_modular_gather_for_every_step():
 
 def test_identity_rows_grow_linearly_in_b(cfg):
     # prop1 over b = 2..200 with every row built inside the traced run: rows
-    # of O(b) entries peak well under 1 MiB, rows of O(b^2) near 2 MiB
+    # of 32*b entries peak at about 0.8 MB, rows of b*b entries above 3 MB
     _unit_row.cache_clear()
     _cot_row.cache_clear()
     tracemalloc.start()

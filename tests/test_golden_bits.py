@@ -196,8 +196,8 @@ def test_bits_are_unchanged(name, precision):
     assert got == GOLDEN[f"{name}@{precision}"]
 
 
-# Whole identity suites, whose larger b gather the unit rows in more than one
-# run of residues (at 113 bits from size 40 on).  Per (suite, size, precision):
+# Whole identity suites, up to b where a unit-row gather takes more than one
+# slice (at b = 40, every step from 33 up).  Per (suite, size, precision):
 # the sha256 of repr(suite(size, DEFAULT_SEED, cfg)), which holds every case's
 # residue, and the worst residues as float hex.
 SUITES = {"floor": checks.floor, "prop1": checks.prop1}
