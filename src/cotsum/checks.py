@@ -3,14 +3,17 @@
 Each suite maps ``(size, seed, cfg)`` (``size=None`` for its default) to
 ``(cases, extra)``: ``(case, passed, residue)`` tuples and named worst residues.
 ``exact`` and ``asymptotics`` are called through their modules, so a tracer that
-patches a function there sees these calls too.
+patches a function there sees these calls too, but only those made in this
+process.  ``floor`` and ``prop1`` compute the rows of b = 2, 4, 6, ... here
+and, when that half is large enough to pay for a fork, the rows of
+b = 3, 5, 7, ... in a forked child, whose calls such a tracer does not see.
 """
 
 import math
 import random
 
 from . import asymptotics, exact
-from .numerics import PrecisionConfig, euler_gamma, log_two_pi
+from .numerics import PrecisionConfig, _in_child, euler_gamma, log_two_pi
 
 DEFAULT_SEED = 927227
 
@@ -36,59 +39,110 @@ def _worst(cases) -> float:
     return worst_residue(residue for _, _, residue in cases)
 
 
+def _split_b(rows, bs: range, child_terms: int, *args) -> list:
+    """``rows(bs, *args)``, the rows of ``bs[1::2]`` computed in a forked child.
+
+    This process computes the rows of ``bs[::2]`` meanwhile, and the two
+    lists are interleaved back into b order: any cost that grows smoothly in b
+    is then split about evenly.  The child is forked only when
+    ``child_terms``, its share of identity terms, reaches the break-even that
+    ``r(b)``'s fork uses (see :func:`numerics._in_child`).  Each row is a pure
+    function of b and ``args``, so the bits do not depend on where it ran.
+    """
+    worth_a_fork = child_terms >= asymptotics._R_CHILD_MIN_TERMS
+    with _in_child(worth_a_fork, rows, bs[1::2], *args) as odd:
+        out = [None] * len(bs)
+        out[::2] = rows(bs[::2], *args)
+        out[1::2] = odd()
+    return out
+
+
+def _prop1_draws(seed: int, last_b: int):
+    """``(b, draws)`` for b = 2..last_b: the 20 ``(a, n, a_frac, n_frac)`` of b.
+
+    One ``random.Random(seed)`` stream in b order.  ``(a, n)`` is for the
+    cot-cos identity; ``(a_frac, n_frac)`` starts as ``(a, n)`` and is redrawn
+    until b does not divide ``n_frac*a_frac``, since the fractional part is
+    checked only where it is not 0.  The draws of one b are made only when
+    the caller asks for them.
+    """
+    rng = random.Random(seed)
+    for b in range(2, last_b + 1):
+        draws = []
+        for _ in range(20):
+            a = a_frac = rng.randrange(1, 10**6)
+            n = n_frac = rng.randrange(1, 10**6)
+            while (n_frac * a_frac) % b == 0:
+                a_frac = rng.randrange(1, 10**6)
+                n_frac = rng.randrange(1, 10**6)
+            draws.append((a, n, a_frac, n_frac))
+        yield b, draws
+
+
+def _prop1_rows(bs: range, seed: int, cfg: PrecisionConfig) -> list:
+    """``(max_cos, max_frac)`` per b of bs, replaying the draws of every b before."""
+    rows = []
+    for b, draws in _prop1_draws(seed, max(bs, default=1)):
+        if b not in bs:
+            continue
+        cos_b = [
+            abs(float(exact.cot_cos_identity_residual(a, b, n, cfg)))
+            for a, n, _, _ in draws
+        ]
+        frac_b = [
+            abs(float(exact.frac_via_cot_sin(a, b, n, cfg)) - ((n * a) % b) / b)
+            for _, _, a, n in draws
+        ]
+        rows.append((worst_residue(cos_b), worst_residue(frac_b)))
+    return rows
+
+
 def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
     size = 200 if size is None else size
-    rng = random.Random(seed)
+    bs = range(2, size + 1)
+    # per b, two identities of b - 1 terms for each of the 20 draws
+    child_terms = 40 * sum(b - 1 for b in bs[1::2])
+    rows = _split_b(_prop1_rows, bs, child_terms, seed, cfg)
     cases = []
-    cos_residues = []
-    frac_errors = []
-    for b in range(2, size + 1):
-        cos_b = []
-        frac_b = []
-        for _ in range(20):
-            a = rng.randrange(1, 10**6)
-            n = rng.randrange(1, 10**6)
-            cos_b.append(abs(float(exact.cot_cos_identity_residual(a, b, n, cfg))))
-            # the fractional part of n*a/b is checked only where it is not 0
-            while (n * a) % b == 0:
-                a = rng.randrange(1, 10**6)
-                n = rng.randrange(1, 10**6)
-            got = exact.frac_via_cot_sin(a, b, n, cfg)
-            frac_b.append(abs(float(got) - ((n * a) % b) / b))
-        max_cos = worst_residue(cos_b)
-        max_frac = worst_residue(frac_b)
+    for b, (max_cos, max_frac) in zip(bs, rows):
         # a nan maximum fails both comparisons
         ok = max_cos <= 1e-10 and max_frac <= 1e-10
         cases.append((f"b={b}", ok, worst_residue((max_cos, max_frac))))
-        cos_residues.append(max_cos)
-        frac_errors.append(max_frac)
     extra = {
-        "max_cot_cos_residue": worst_residue(cos_residues),
-        "max_frac_error": worst_residue(frac_errors),
+        "max_cot_cos_residue": worst_residue(max_cos for max_cos, _ in rows),
+        "max_frac_error": worst_residue(max_frac for _, max_frac in rows),
     }
     return cases, extra
 
 
-def floor(size: int | None, seed: int, cfg: PrecisionConfig):
-    size = 100 if size is None else size
+def _floor_rows(bs: range, cfg: PrecisionConfig) -> list:
+    """``(max_im, max_round)`` per b of bs."""
     a_values = range(1, 1001)
-    cases = []
-    imag_residues = []
-    rounding_distances = []
-    for b in range(2, size + 1):
+    rows = []
+    for b in bs:
         parts = exact.floor_identities(b, a_values, cfg)
         max_im = worst_residue([abs(float(im)) for _, im in parts])
         max_round = worst_residue(
             [abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)]
         )
+        rows.append((max_im, max_round))
+    return rows
+
+
+def floor(size: int | None, seed: int, cfg: PrecisionConfig):
+    size = 100 if size is None else size
+    bs = range(2, size + 1)
+    # per b, two sums of b - 1 terms for each of the b residue classes of a
+    child_terms = 2 * sum(b * (b - 1) for b in bs[1::2])
+    rows = _split_b(_floor_rows, bs, child_terms, cfg)
+    cases = []
+    for b, (max_im, max_round) in zip(bs, rows):
         # on the binary64 residues; a nan maximum fails both comparisons
         ok = max_round <= FLOOR_ROUND_TOL and max_im <= FLOOR_IMAG_TOL
         cases.append((f"b={b}", ok, max_im))
-        imag_residues.append(max_im)
-        rounding_distances.append(max_round)
     extra = {
-        "max_imag_residue": worst_residue(imag_residues),
-        "max_rounding_distance": worst_residue(rounding_distances),
+        "max_imag_residue": worst_residue(max_im for max_im, _ in rows),
+        "max_rounding_distance": worst_residue(max_round for _, max_round in rows),
     }
     return cases, extra
 
