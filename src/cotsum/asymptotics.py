@@ -14,8 +14,8 @@ error term from one growing like log(b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .exact import c0
 from .numerics import (
@@ -71,8 +71,7 @@ _R_CHUNK = 1 << 12
 _R_CHILD_MIN_TERMS = 1 << 13
 
 
-@dataclass(frozen=True)
-class ResidualRecord:
+class ResidualRecord(NamedTuple):
     """One row of a residual scan: delta = c0_exact - c0_main_terms at b."""
 
     b: int
@@ -81,8 +80,7 @@ class ResidualRecord:
     delta: float
 
 
-@dataclass(frozen=True)
-class LogFitReport:
+class LogFitReport(NamedTuple):
     """Least-squares fit of delta against log(b) over a scan."""
 
     slope: float

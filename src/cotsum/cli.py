@@ -21,13 +21,11 @@ COTSUM_PRECISION sets the default working precision in bits.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import signal
 import sys
-from dataclasses import dataclass, field
 
 from . import asymptotics, checks, exact
 from .numerics import (
@@ -54,14 +52,14 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
 class OutputRecord:
     """One machine-readable result: command, inputs, named outputs, residues."""
 
-    command: str
-    parameters: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, command: str, parameters=None, values=None, diagnostics=None):
+        self.command = command
+        self.parameters = {} if parameters is None else parameters
+        self.values = {} if values is None else values
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_json(self) -> str:
         payload = {
@@ -368,6 +366,7 @@ def _write_residuals(path: str, records, report, fmt: str) -> None:
             json.dump(rows, fh, sort_keys=True, indent=2)
             fh.write("\n")
         return
+    import csv  # only the CSV row file needs it
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["b", "c0_exact", "c0_main_terms", "delta"])

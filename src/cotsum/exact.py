@@ -14,9 +14,9 @@ arithmetic; floating point only enters once angles are reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .numerics import (
     DEFAULT_CONFIG,
@@ -53,8 +53,7 @@ _C0_MAX_K = 2**32
 _C0_CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class EstermannValue:
+class EstermannValue(NamedTuple):
     """Value at the origin for twist order ``alpha``, split into parts.
 
     For odd ``alpha`` the value is the rational B_{alpha+1}/(2(alpha+1)) and

@@ -23,11 +23,12 @@ import os
 import signal
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CapacityError",
@@ -61,22 +62,22 @@ class NumericalConsistencyError(ArithmeticError):
 _MP_LOCK = threading.RLock()
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class PrecisionConfig(NamedTuple("PrecisionConfig", [("working_precision", int)])):
     """Working precision for all numeric operations.
 
     ``working_precision`` is in bits of significand; 53 selects the binary64
     fast path.  Every sum is correctly rounded at this precision (see
-    :func:`sum_strategy`).
+    :func:`sum_strategy`).  ``_replace`` would skip ``__new__``'s check.
     """
 
-    working_precision: int = 53
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.working_precision < 53:
+    def __new__(cls, working_precision: int = 53):
+        if working_precision < 53:
             raise PreconditionError(
-                f"working_precision must be >= 53, got {self.working_precision}"
+                f"working_precision must be >= 53, got {working_precision}"
             )
+        return super().__new__(cls, working_precision)
 
     @property
     def extended(self) -> bool:
@@ -86,33 +87,30 @@ class PrecisionConfig:
 DEFAULT_CONFIG = PrecisionConfig()
 
 
-@dataclass(frozen=True)
-class ReducedFraction:
+class ReducedFraction(NamedTuple("ReducedFraction", [("h", int), ("k", int)])):
     """A fraction h/k in lowest terms, the argument of the cotangent sum.
 
     k = 1 is permitted (with h = 1) only because the value at integer
     arguments has its own closed form; every other use requires k >= 2 and
-    1 <= h < k.
+    1 <= h < k.  ``_replace`` would skip these checks.
     """
 
-    h: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.h < 1 or self.k < 1:
-            raise ValueError(f"h and k must be positive, got ({self.h}, {self.k})")
-        if self.k == 1:
-            if self.h != 1:
+    def __new__(cls, h: int, k: int):
+        if h < 1 or k < 1:
+            raise ValueError(f"h and k must be positive, got ({h}, {k})")
+        if k == 1:
+            if h != 1:
                 raise ValueError("k = 1 requires h = 1")
-            return
-        if not self.h < self.k:
-            raise ValueError(f"need 1 <= h < k, got ({self.h}, {self.k})")
-        if gcd(self.h, self.k) != 1:
-            raise ValueError(f"h and k must be coprime, got ({self.h}, {self.k})")
+        elif not h < k:
+            raise ValueError(f"need 1 <= h < k, got ({h}, {k})")
+        elif gcd(h, k) != 1:
+            raise ValueError(f"h and k must be coprime, got ({h}, {k})")
+        return super().__new__(cls, h, k)
 
 
-@dataclass(frozen=True)
-class ConstantEstimate:
+class ConstantEstimate(NamedTuple):
     """A numerically extracted constant with truncation metadata.
 
     ``tail_bound`` is an a-posteriori estimate (not a certified enclosure) of
@@ -179,6 +177,8 @@ def log_two_pi(cfg: PrecisionConfig = DEFAULT_CONFIG):
 @lru_cache(maxsize=None)
 def _bernoulli_exact(m: int) -> Fraction:
     # Defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0, solved for B_m.
+    from fractions import Fraction  # ~4 ms to import: only its users pay
+
     if m == 0:
         return Fraction(1)
     acc = Fraction(0)

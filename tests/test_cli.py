@@ -324,6 +324,38 @@ def test_only_binary64_c0_imports_numpy():
         assert _child_imports("numpy", argv) is loaded, argv
 
 
+def _bare_interpreter_modules() -> set:
+    """The modules a bare interpreter, with this environment, has loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        check=True,
+        timeout=120,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_starts_import_only_what_their_command_runs(tmp_path):
+    # dataclasses (~8 ms with inspect and ast), fractions (~4 ms with decimal)
+    # and csv would cost every start; only the commands that use them pay.
+    # A module the interpreter loads anyway (a site hook) cannot be told apart.
+    modules = {"dataclasses", "fractions", "csv"} - _bare_interpreter_modules()
+    for argv, loaded in (
+        ([], set()),
+        (["verify", "--help"], set()),
+        (["verify", "--suite", "floor", "--size", "5"], set()),
+        (["constants", "--K", "1000"], set()),
+        (["residuals", "--b-min", "256", "--b-max", "1024", "--geometric-step", "2"],
+         {"csv"}),
+        (["eval", "--h", "1", "--k", "5", "--alpha", "1"], {"fractions"}),
+    ):
+        for module in sorted(modules):
+            assert _child_imports(module, argv, cwd=tmp_path) is (module in loaded), (
+                module, argv)
+
+
 def test_binary64_runs_never_import_mpmath(tmp_path):
     # mpmath's import costs ~35 ms, so only extended precision pays for it
     for argv, loaded in (

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from cotsum import (
     CapacityError,
+    ConstantEstimate,
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
@@ -125,6 +126,7 @@ def test_bernoulli_small_values():
     assert bernoulli(2) == Fraction(1, 6)
     assert bernoulli(3) == Fraction(0)
     assert bernoulli(4) == Fraction(-1, 30)
+    assert type(bernoulli(12)) is Fraction
 
 
 def test_bernoulli_odd_indices_vanish():
@@ -369,11 +371,26 @@ def _residues(h, k):
 # ------------------------------------------------------------ config types
 
 
+def _assert_immutable_value(make, field):
+    """Two records of equal fields are equal, hash alike and refuse writes.
+
+    The records are named tuples.  Their ``_replace`` would skip the checks
+    in ``__new__``; nothing in the package calls it.
+    """
+    record, twin = make(), make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1)
+    assert record == twin and hash(record) == hash(twin)
+
+
 def test_precision_config_validation():
     with pytest.raises(PreconditionError):
         PrecisionConfig(working_precision=52)
     assert PrecisionConfig(working_precision=113).extended
     assert not PrecisionConfig().extended
+    assert PrecisionConfig() == PrecisionConfig(53) == numerics.DEFAULT_CONFIG
+    _assert_immutable_value(lambda: PrecisionConfig(113), "working_precision")
+    _assert_immutable_value(lambda: ConstantEstimate(0.5, 1000, 1e-9), "value")
 
 
 def test_reduced_fraction_invariants():
@@ -388,6 +405,8 @@ def test_reduced_fraction_invariants():
         ReducedFraction(0, 5)
     with pytest.raises(ValueError):
         ReducedFraction(2, 1)
+    _assert_immutable_value(lambda: ReducedFraction(3, 8), "h")
+    assert ReducedFraction(3, 8) != ReducedFraction(5, 8)
 
 
 @given(h=st.integers(min_value=1, max_value=500), k=st.integers(min_value=2, max_value=500))
