@@ -39,7 +39,6 @@ from .numerics import (
     CapacityError,
     ConstantEstimate,
     DEFAULT_CONFIG,
-    NumericalConsistencyError,
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
@@ -57,7 +56,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "EstermannValue",
     "LogFitReport",
-    "NumericalConsistencyError",
     "PrecisionConfig",
     "PreconditionError",
     "ReducedFraction",

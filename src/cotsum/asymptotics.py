@@ -63,13 +63,6 @@ R_SERIES_OFFSET = 1.0
 # costs about a third more, and a list of 2^12 floats holds about 0.13 MB.
 _R_CHUNK = 1 << 12
 
-# Fewest terms in r(b)'s upper half for which a forked child pays.  On a
-# 2-vCPU Xeon the fork, pipe and reaping cost about what 5k binary64 terms
-# do (K = 8000: 4.4 ms in one process, 5.2 ms with the child; K = 12000:
-# 6.5 and 6.2 ms); 2^13 leaves room for a larger process, whose fork copies
-# more page tables.  mpmath's terms cost more, so the child pays there too.
-_R_CHILD_MIN_TERMS = 1 << 13
-
 
 class ResidualRecord(NamedTuple):
     """One row of a residual scan: delta = c0_exact - c0_main_terms at b."""
@@ -86,7 +79,6 @@ class LogFitReport(NamedTuple):
     slope: float
     intercept: float
     max_abs_delta: float
-    sample_bs: list[int]
 
 
 def f_term(i: int, k: int, b: int) -> float:
@@ -239,14 +231,13 @@ def _r_checkpoints(b: int, K: int, cfg: PrecisionConfig):
     correctly rounded sum of its terms, and each partial sum one correctly
     rounded sum of the segment sums before it.  The last segment, terms
     K/2+1..K, is half the work: a forked child sums it while this process
-    sums the three before it (see :func:`numerics._in_child`; below
-    ``_R_CHILD_MIN_TERMS`` terms, or with one CPU, this process sums it too).
+    sums the three before it (see :func:`numerics._in_child`; below its
+    break-even, or with one CPU, this process sums it too).
     A segment's sum is a pure function of (b, lo, hi, cfg), so the bits do
     not depend on which process computed it.
     """
     ns = [K // 8, K // 4, K // 2, K]
-    worth_a_fork = K - K // 2 >= _R_CHILD_MIN_TERMS
-    with _in_child(worth_a_fork, _r_segment, b, K // 2, K, cfg) as upper:
+    with _in_child(K - K // 2, _r_segment, b, K // 2, K, cfg) as upper:
         segments = [_r_segment(b, lo, hi, cfg) for lo, hi in zip([0] + ns, ns[:3])]
         segments.append(upper())
     return ns, [sum_strategy(segments[: i + 1], cfg) for i in range(len(ns))]
@@ -407,6 +398,5 @@ def residual_scan(
         slope=slope,
         intercept=intercept,
         max_abs_delta=max(abs(y) for y in ys),
-        sample_bs=[r.b for r in records],
     )
     return records, report

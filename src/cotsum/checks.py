@@ -44,13 +44,12 @@ def _split_b(rows, bs: range, child_terms: int, *args) -> list:
 
     This process computes the rows of ``bs[::2]`` meanwhile, and the two
     lists are interleaved back into b order: any cost that grows smoothly in b
-    is then split about evenly.  The child is forked only when
-    ``child_terms``, its share of identity terms, reaches the break-even that
-    ``r(b)``'s fork uses (see :func:`numerics._in_child`).  Each row is a pure
-    function of b and ``args``, so the bits do not depend on where it ran.
+    is then split about evenly.  ``child_terms``, the child's share of
+    identity terms, decides whether the fork pays (see
+    :func:`numerics._in_child`).  Each row is a pure function of b and
+    ``args``, so the bits do not depend on where it ran.
     """
-    worth_a_fork = child_terms >= asymptotics._R_CHILD_MIN_TERMS
-    with _in_child(worth_a_fork, rows, bs[1::2], *args) as odd:
+    with _in_child(child_terms, rows, bs[1::2], *args) as odd:
         out = [None] * len(bs)
         out[::2] = rows(bs[::2], *args)
         out[1::2] = odd()

@@ -11,11 +11,10 @@ residuals   scan delta(b) = c0(1/b) - main_terms(b) over a range of b, write
 constants   report gamma, log(2*pi), the block-series values r(b) and the
             extrapolated main-term constant
 
-Exit codes: 0 success, 1 verification failure, 2 usage/precondition error,
-3 internal numerical-consistency failure.  Machine-readable output is
-byte-identical across repeated runs with the same arguments; nothing
-time- or host-dependent is ever emitted.  The environment variable
-COTSUM_PRECISION sets the default working precision in bits.
+Exit codes: 0 success, 1 verification failure, 2 usage/precondition error.
+Machine-readable output is byte-identical across repeated runs with the same
+arguments; nothing time- or host-dependent is ever emitted.  The environment
+variable COTSUM_PRECISION sets the default working precision in bits.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import sys
 
 from . import asymptotics, checks, exact
 from .numerics import (
-    NumericalConsistencyError,
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
@@ -49,7 +47,6 @@ MAX_LADDER_STEPS = 10**6
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-EXIT_NUMERICAL = 3
 
 
 class OutputRecord:
@@ -440,9 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _HANDLERS[args.subcommand](args)
-    except NumericalConsistencyError as err:
-        print(f"numerical consistency failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (PreconditionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

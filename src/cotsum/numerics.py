@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CapacityError",
     "ConstantEstimate",
-    "NumericalConsistencyError",
     "PrecisionConfig",
     "PreconditionError",
     "ReducedFraction",
@@ -51,10 +50,6 @@ class CapacityError(ValueError):
 
 class PreconditionError(ValueError):
     """The arguments violate a documented precondition."""
-
-
-class NumericalConsistencyError(ArithmeticError):
-    """An internal cross-check left a residue above its tolerance."""
 
 
 # Extended-precision evaluation shares the global mpmath context; the lock is
@@ -246,6 +241,14 @@ def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
         return mt.fsum(values)
 
 
+# Fewest terms of work in a child for which its fork pays.  On a 2-vCPU Xeon
+# the fork, pipe and reaping cost about what 5k binary64 r(b) terms do
+# (K = 8000: 4.4 ms in one process, 5.2 ms with the child; K = 12000: 6.5 and
+# 6.2 ms); 2^13 leaves room for a larger process, whose fork copies more page
+# tables.  mpmath's terms cost more, so the child pays there too.
+_CHILD_MIN_TERMS = 1 << 13
+
+
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -254,13 +257,14 @@ def _cpus() -> int:
 
 
 @contextmanager
-def _in_child(worth_a_fork: bool, fn, *args):
-    """``with _in_child(worth_a_fork, fn, *args) as result:`` runs fn(*args) aside.
+def _in_child(child_terms: int, fn, *args):
+    """``with _in_child(child_terms, fn, *args) as result:`` runs fn(*args) aside.
 
     On entry a forked child starts computing fn(*args), so the work the
     caller does inside the block runs beside it on a second CPU; ``result()``
     returns the child's value, read through a pipe.  fn runs in this process
-    instead, when ``result()`` is called, if ``worth_a_fork`` is false,
+    instead, when ``result()`` is called, if ``child_terms``, the caller's
+    estimate of fn's work in terms, is below ``_CHILD_MIN_TERMS``,
     ``os.fork`` is missing, fewer than 2 CPUs are usable, or another thread
     is alive (a fork would copy any lock that thread holds, ``_MP_LOCK``
     included).  If the child delivers no complete result, ``result()``
@@ -270,7 +274,7 @@ def _in_child(worth_a_fork: bool, fn, *args):
     when the block raises.  Enter the block outside any ``_context`` block.
     """
     if not (
-        worth_a_fork
+        child_terms >= _CHILD_MIN_TERMS
         and hasattr(os, "fork")
         and threading.active_count() == 1
         and _cpus() >= 2

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import cotsum
-from cotsum import NumericalConsistencyError
 from cotsum.cli import main
 
 
@@ -368,18 +367,6 @@ def test_binary64_runs_never_import_mpmath(tmp_path):
         (["eval", "--h", "1", "--k", "5", "--precision", "113"], True),
     ):
         assert _child_imports("mpmath", argv, cwd=tmp_path) is loaded, argv
-
-
-def test_numerical_consistency_exit_code(capsys, monkeypatch):
-    import cotsum.cli as cli_mod
-
-    def blow_up(frac, cfg):
-        raise NumericalConsistencyError("synthetic failure")
-
-    monkeypatch.setattr(cli_mod.exact, "c0", blow_up)
-    code, _, err = run_cli(capsys, ["eval", "--h", "1", "--k", "4"])
-    assert code == 3
-    assert "synthetic failure" in err
 
 
 # -------------------------------------------------------------- residuals

@@ -1,7 +1,9 @@
 """Every exported name resolves, so a deletion cannot leave a stale export."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,24 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"cotsum.{name}")
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_every_exported_exception_has_a_raiser():
+    # an exception class nothing raises is dead API, however often it is caught
+    raised = set()
+    for path in Path(cotsum.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+            ):
+                raised.add(node.exc.func.id)
+    exceptions = [
+        name
+        for name in cotsum.__all__
+        if isinstance(getattr(cotsum, name), type)
+        and issubclass(getattr(cotsum, name), BaseException)
+    ]
+    assert exceptions
+    assert [name for name in exceptions if name not in raised] == []

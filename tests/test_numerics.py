@@ -441,7 +441,7 @@ def test_in_child_raises_the_error_of_fn_here(monkeypatch):
     monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(numerics, "_cpus", lambda: 2)
     with pytest.raises(ValueError, match="boom"):
-        with _in_child(True, failing, "boom") as result:
+        with _in_child(numerics._CHILD_MIN_TERMS, failing, "boom") as result:
             result()
     assert calls == [os.getpid()]
     assert len(pids) == 1
