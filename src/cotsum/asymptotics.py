@@ -17,7 +17,7 @@ import math
 from itertools import chain
 from typing import NamedTuple
 
-from .exact import c0
+from .exact import _check_c0_k, c0
 from .numerics import (
     DEFAULT_CONFIG,
     ConstantEstimate,
@@ -267,7 +267,7 @@ def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantE
         diag = _neville_to_zero([real(1) / n for n in ns], partials)
         step = abs(float(diag[-1] - diag[-2]))
     rounding = K * 2.0 ** -cfg.working_precision
-    return ConstantEstimate(value=diag[-1], truncation_K=K, tail_bound=step + rounding)
+    return ConstantEstimate(value=diag[-1], tail_bound=step + rounding)
 
 
 def check_C0_nodes(bs: list[int]) -> None:
@@ -313,10 +313,7 @@ def extrapolate_C0(
         value = diag[-1] - R_SERIES_OFFSET
         extrapolation_step = abs(float(diag[-1] - diag[-2]))
     tail = max(e.tail_bound for e in estimates)
-    K = max(e.truncation_K for e in estimates)
-    return ConstantEstimate(
-        value=value, truncation_K=K, tail_bound=extrapolation_step / bs[0] + tail
-    )
+    return ConstantEstimate(value=value, tail_bound=extrapolation_step / bs[0] + tail)
 
 
 def estimate_C0(
@@ -367,12 +364,15 @@ def residual_scan(
 ) -> tuple[list[ResidualRecord], LogFitReport]:
     """Exact-minus-main-terms residuals delta(b) over increasing b, with a fit.
 
-    Each b costs one O(b) exact evaluation.  The report carries the
+    Each b costs one O(b) exact evaluation; every b is checked against
+    :func:`c0`'s limits before the first.  The report carries the
     least-squares slope and intercept of delta against log(b) (computed in
     binary64) plus max |delta|: a bounded error term shows a near-zero slope,
     while an error growing like log(b) would show a stable nonzero slope.
     """
     _check_bs(bs, 1)
+    for b in bs:
+        _check_c0_k(b)
     records = []
     for b in bs:
         exact = c0(ReducedFraction(1, b), cfg)

@@ -7,6 +7,8 @@ patches a function there sees these calls too, but only those made in this
 process.  ``floor`` and ``prop1`` compute the rows of b = 2, 4, 6, ... here
 and, when that half is large enough to pay for a fork, the rows of
 b = 3, 5, 7, ... in a forked child, whose calls such a tracer does not see.
+Every identity call for one b reads the same cached row set of that b
+(``exact._unit_row``: cot, cos and sin), built in the process that checks b.
 """
 
 import math

@@ -26,7 +26,6 @@ from .numerics import (
     ReducedFraction,
     _context,
     _cot_kernel,
-    _cot_row,
     _exact_parts,
     bernoulli,
     sum_strategy,
@@ -64,7 +63,6 @@ class EstermannValue(NamedTuple):
 
     real_part: float
     imag_part: float
-    alpha: int
 
 
 def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -91,16 +89,21 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
     (:class:`CapacityError`).
     """
     h, k = frac.h, frac.k
-    if k < 2:
-        raise PreconditionError(f"c0 requires k >= 2, got k = {k}")
-    if k >= _C0_MAX_K:
-        raise CapacityError(f"c0 requires k < 2^32, got k = {k}")
+    _check_c0_k(k)
     if not cfg.extended:
         parts = []
         for terms in _half_row_chunks(h, k):
             parts += _exact_parts(terms)
         return sum_strategy(parts, cfg)
     return _half_row_sum(h, k, _cot_derivative_coeffs(0), cfg)
+
+
+def _check_c0_k(k: int) -> None:
+    """Raise unless :func:`c0` takes the denominator k: 2 <= k < 2^32."""
+    if k < 2:
+        raise PreconditionError(f"c0 requires k >= 2, got k = {k}")
+    if k >= _C0_MAX_K:
+        raise CapacityError(f"c0 requires k < 2^32, got k = {k}")
 
 
 def _half_row_chunks(h: int, k: int):
@@ -211,9 +214,7 @@ def estermann_at_zero(
             value = -value
         with _context(cfg) as (mt, pi, real):
             return EstermannValue(
-                real_part=real(value.numerator) / value.denominator,
-                imag_part=real(0),
-                alpha=alpha,
+                real_part=real(value.numerator) / value.denominator, imag_part=real(0)
             )
     if alpha > MAX_DERIVATIVE_ORDER:
         raise CapacityError(
@@ -222,9 +223,7 @@ def estermann_at_zero(
     if alpha == 0:
         # -(i/2) sum (m/k) cot(pi*m*h/k) = (i/2) c0(h/k), halved exactly.
         with _context(cfg) as (mt, pi, real):
-            return EstermannValue(
-                real_part=real(0.25), imag_part=c0(frac, cfg) / 2, alpha=0
-            )
+            return EstermannValue(real_part=real(0.25), imag_part=c0(frac, cfg) / 2)
     # (-i/2)^(alpha+1) with alpha+1 odd is purely imaginary: -i/2^(alpha+1)
     # when alpha = 0 (mod 4) and +i/2^(alpha+1) when alpha = 2 (mod 4).
     sign = -1 if alpha % 4 == 0 else 1
@@ -235,7 +234,7 @@ def estermann_at_zero(
     s = _half_row_sum(frac.h, frac.k, _cot_derivative_coeffs(alpha), cfg)
     with _context(cfg) as (mt, pi, real):
         return EstermannValue(
-            real_part=real(0), imag_part=(0 - sign * s) / 2 ** (alpha + 1), alpha=alpha
+            real_part=real(0), imag_part=(0 - sign * s) / 2 ** (alpha + 1)
         )
 
 
@@ -247,18 +246,22 @@ _ROW_COPIES = 32
 # The suites walk b upwards, so only the last few rows are ever reused.
 @lru_cache(maxsize=4)
 def _unit_row(b: int, working_precision: int):
-    """cos/sin of 2*pi*j/b, at the requested precision, laid _ROW_COPIES times.
+    """``(cot, cos_row, sin_row)`` for b, at the requested precision.
 
-    Entry j + t*b is the same object as entry j, so the rows have period b.
+    cot[m-1] = cot(pi*m/b) for m = 1..b-1, and cot[b-m-1] is bitwise -cot[m-1].
+    cos_row and sin_row hold cos/sin of 2*pi*j/b laid _ROW_COPIES times:
+    entry j + t*b is the same object as entry j, so they have period b.
     """
     with _context(PrecisionConfig(working_precision)) as (mt, pi, real):
+        cot = [_cot_kernel(m, b, mt, pi) for m in range(1, b // 2 + 1)]
+        cot += [-c for c in reversed(cot[: (b - 1) // 2])]
         cos_row = [real(1)] * b
         sin_row = [real(0)] * b
         for j in range(1, b):
             theta = (2 * pi * j) / b
             cos_row[j] = mt.cos(theta)
             sin_row[j] = mt.sin(theta)
-    return cos_row * _ROW_COPIES, sin_row * _ROW_COPIES
+    return cot, cos_row * _ROW_COPIES, sin_row * _ROW_COPIES
 
 
 def _gathered(row, step: int, b: int) -> list:
@@ -295,17 +298,15 @@ def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):
         raise PreconditionError(
             f"need a >= 1 and b >= 2, got a = {min(a_values, default=None)}, b = {b}"
         )
-    cot = _cot_row(b, cfg.working_precision)
-    cos_row, sin_row = _unit_row(b, cfg.working_precision)
+    cot, cos_row, sin_row = _unit_row(b, cfg.working_precision)
     two_b = 2 * b
-    cot_tail = cot[1:]
     parts = [None] * b
     with _context(cfg) as (mt, pi, real):
         for step in {a % b for a in a_values}:
             re_terms = []
             im_terms = []
             for c, wr, wi in zip(
-                cot_tail, _gathered(cos_row, step, b), _gathered(sin_row, step, b)
+                cot, _gathered(cos_row, step, b), _gathered(sin_row, step, b)
             ):
                 re_terms.append(wr + c * wi)
                 im_terms.append(wi - c * wr)
@@ -331,10 +332,9 @@ def cot_cos_identity_residual(
     """
     if a < 1 or b < 2 or n < 1:
         raise PreconditionError(f"need a, n >= 1 and b >= 2, got ({a}, {b}, {n})")
-    cot = _cot_row(b, cfg.working_precision)
-    cos_row, _ = _unit_row(b, cfg.working_precision)
+    cot, cos_row, _ = _unit_row(b, cfg.working_precision)
     step = (n * a) % b
-    return sum_strategy(map(mul, cot[1:], _gathered(cos_row, step, b)), cfg)
+    return sum_strategy(map(mul, cot, _gathered(cos_row, step, b)), cfg)
 
 
 def frac_via_cot_sin(
@@ -351,8 +351,7 @@ def frac_via_cot_sin(
         raise PreconditionError(
             f"identity requires b to not divide n*a, got b = {b}, n*a = {n * a}"
         )
-    cot = _cot_row(b, cfg.working_precision)
-    _, sin_row = _unit_row(b, cfg.working_precision)
+    cot, _, sin_row = _unit_row(b, cfg.working_precision)
     with _context(cfg) as (mt, pi, real):
-        s = sum_strategy(map(mul, cot[1:], _gathered(sin_row, step, b)), cfg)
+        s = sum_strategy(map(mul, cot, _gathered(sin_row, step, b)), cfg)
         return real(1) / 2 - s / (2 * b)

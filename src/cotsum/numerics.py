@@ -1,9 +1,10 @@
 """Shared numerical kernel.
 
 Provides the precision configuration used across the package, exact-rational
-Bernoulli numbers, cotangent evaluation at rational multiples of pi, one
-correctly rounded sum, and an error-free reduction of a numpy array to a few
-floats with the same exact sum.
+Bernoulli numbers, the cotangent kernel at rational multiples of pi (the rows
+built from it are cached in ``exact``), one correctly rounded sum that holds
+one chunk of terms at a time, and an error-free reduction of a numpy array to
+a few floats with the same exact sum.
 
 Two precision modes are supported: binary64 (the default, 53-bit significand,
 evaluated with the ``math`` module) and an extended mode (> 53 bits, evaluated
@@ -24,6 +25,7 @@ import signal
 import threading
 from contextlib import contextmanager, nullcontext
 from functools import lru_cache
+from itertools import islice
 from math import comb, gcd
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -106,16 +108,15 @@ class ReducedFraction(NamedTuple("ReducedFraction", [("h", int), ("k", int)])):
 
 
 class ConstantEstimate(NamedTuple):
-    """A numerically extracted constant with truncation metadata.
+    """A numerically extracted constant with its error estimate.
 
     ``tail_bound`` is an a-posteriori estimate (not a certified enclosure) of
-    the truncation, extrapolation and rounding error.  A larger
-    ``truncation_K`` shrinks its truncation part, but the rounding part grows
-    with ``truncation_K``, so past some K the bound grows again.
+    the truncation, extrapolation and rounding error.  A larger truncation K
+    shrinks its truncation part, but the rounding part grows with K, so past
+    some K the bound grows again.
     """
 
     value: float
-    truncation_K: int
     tail_bound: float
 
 
@@ -213,32 +214,33 @@ def _cot_kernel(r: int, k: int, mt, pi):
     return mt.tan(pi * (k - two_r) / (2 * k))
 
 
-@lru_cache(maxsize=32)
-def _cot_row(k: int, working_precision: int):
-    """Row of cot(pi*r/k) for r = 1..k-1 (index 0 unused).
-
-    Built once per (k, precision) with the antisymmetry cot(pi*(k-r)/k) =
-    -cot(pi*r/k) applied exactly, so paired entries are exact negations.
-    """
-    row: list = [None] * k
-    with _context(PrecisionConfig(working_precision)) as (mt, pi, real):
-        for r in range(1, k // 2 + 1):
-            row[r] = _cot_kernel(r, k, mt, pi)
-        for r in range(1, (k + 1) // 2):
-            row[k - r] = -row[r]
-    return row
+# Terms per exact partial sum of the extended-precision sum_strategy.
+_SUM_CHUNK = 4096
 
 
 def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Sum a finite sequence, correctly rounded at the working precision.
 
-    ``math.fsum`` in binary64.  In extended precision ``mpmath.fsum`` adds
-    exactly and rounds once; it only drops a term lying more than twice the
-    working precision in bits below the running sum.  Terms are taken in the
+    ``math.fsum`` in binary64.  In extended precision the terms are read
+    _SUM_CHUNK at a time, each chunk is added exactly into one unrounded
+    mpf, and the sum of those partials is rounded once, so memory holds one
+    chunk, not every term.  Only that last sum can drop anything: where the
+    sum so far and the next partial lie more than twice the working
+    precision in bits apart, it keeps the larger.  Terms are taken in the
     order given, so repeated runs are bit-identical.  The empty sum is zero.
     """
     with _context(cfg) as (mt, pi, real):
-        return mt.fsum(values)
+        if mt is math:
+            return math.fsum(values)
+        from mpmath.libmp import mpf_sum
+
+        terms = iter(values)
+        parts = []
+        # convert is lossless: it returns an mpf as it is
+        while chunk := [mt.convert(x)._mpf_ for x in islice(terms, _SUM_CHUNK)]:
+            parts.append(mpf_sum(chunk, 0))
+        prec, rnd = mt.mp._prec_rounding
+        return mt.mp.make_mpf(mpf_sum(parts, prec, rnd))
 
 
 # Fewest terms of work in a child for which its fork pays.  On a 2-vCPU Xeon

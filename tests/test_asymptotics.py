@@ -10,6 +10,7 @@ import mpmath
 import pytest
 
 from cotsum import (
+    CapacityError,
     PrecisionConfig,
     PreconditionError,
     c0_main_terms,
@@ -239,7 +240,6 @@ def test_r_series_first_term_and_partial_oracle(cfg):
     assert partials[-1] == pytest.approx(oracle, rel=1e-12)
     est = r_series(2, 100, cfg)
     assert est.value == _neville_to_zero([1 / n for n in ns], partials)[-1]
-    assert est.truncation_K == 100
 
 
 def _r_terms_one_by_one(b, lo, hi, mt, real):
@@ -559,6 +559,21 @@ def test_residual_scan_validation(cfg):
         residual_scan([4, 3], cfg)
     with pytest.raises(PreconditionError):
         residual_scan([1, 3], cfg)
+
+
+def test_residual_scan_checks_the_c0_cap_before_the_first_row(cfg, monkeypatch):
+    # the ladder ends past c0's k < 2^32: no row is computed at all, and the
+    # error names the first b past the cap, as c0 itself would
+    calls = []
+
+    def counted(frac, cfg):
+        calls.append(frac.k)
+        return 0.0
+
+    monkeypatch.setattr(asymptotics, "c0", counted)
+    with pytest.raises(CapacityError, match=r"c0 requires k < 2\^32, got k = 4294967296"):
+        residual_scan([3, 2**31, 2**32, 2**33], cfg)
+    assert calls == []
 
 
 def test_residual_scan_small_ladder_is_flat(cfg):

@@ -36,7 +36,7 @@ from cotsum.exact import (
     _horner,
     _unit_row,
 )
-from cotsum.numerics import _cot_kernel, _cot_row
+from cotsum.numerics import _cot_kernel
 
 ULP = 2.0**-52
 
@@ -543,9 +543,9 @@ def test_frac_identity_property(a, b, n):
 
 
 def _assert_gathers_match_the_modular_reference(b: int, precision: int):
-    # every step, both rows: the same objects as row[m*step % b], m = 1..b-1
+    # every step, both unit rows: the same objects as row[m*step % b], m = 1..b-1
     m = np.arange(1, b)
-    for row in _unit_row(b, precision):
+    for row in _unit_row(b, precision)[1:]:
         assert len(row) == _ROW_COPIES * b
         period = np.array(row[:b], dtype=object)
         for step in range(b):
@@ -564,7 +564,6 @@ def test_identity_rows_grow_linearly_in_b(cfg):
     # prop1 over b = 2..200 with every row built inside the traced run: rows
     # of 32*b entries peak at about 0.8 MB, rows of b*b entries above 3 MB
     _unit_row.cache_clear()
-    _cot_row.cache_clear()
     tracemalloc.start()
     try:
         checks.prop1(200, checks.DEFAULT_SEED, cfg)
@@ -579,7 +578,7 @@ def test_identity_rows_grow_linearly_in_b(cfg):
 
 def cot_row_sum_zero(b: int, cfg) -> float:
     """sum_{m=1}^{b-1} cot(pi*m/b) over the row the identities use; zero exactly."""
-    return sum_strategy(_cot_row(b, cfg.working_precision)[1:], cfg)
+    return sum_strategy(_unit_row(b, cfg.working_precision)[0], cfg)
 
 
 def test_cot_row_sum_zero(cfg):

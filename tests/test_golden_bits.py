@@ -8,7 +8,6 @@ against mpf, fails.  To re-record after a declared change of bits, print
 ``{key: _bits(fn(PrecisionConfig(p))) for ...}`` and replace the table.
 """
 
-import dataclasses
 import hashlib
 
 import mpmath
@@ -25,13 +24,14 @@ from cotsum.asymptotics import (
     s_sum_direct,
 )
 from cotsum.exact import (
+    _unit_row,
     c0,
     cot_cos_identity_residual,
     estermann_at_zero,
     floor_identities,
     frac_via_cot_sin,
 )
-from cotsum.numerics import _cot_row, euler_gamma, log_two_pi, sum_strategy
+from cotsum.numerics import euler_gamma, log_two_pi, sum_strategy
 
 CASES = {
     "c0_3_17": lambda cfg: c0(ReducedFraction(3, 17), cfg),
@@ -45,7 +45,7 @@ CASES = {
     "floor_identity": lambda cfg: floor_identities(5, [7], cfg)[0],
     "cot_cos": lambda cfg: cot_cos_identity_residual(3, 10, 2, cfg),
     "frac_via_cot_sin": lambda cfg: frac_via_cot_sin(3, 10, 1, cfg),
-    "cot_row": lambda cfg: _cot_row(9, cfg.working_precision),
+    "cot_row": lambda cfg: _unit_row(9, cfg.working_precision)[0],
     "inner_block_expansion": lambda cfg: inner_block_expansion(3, 10, cfg),
     "s_sum_direct": lambda cfg: s_sum_direct(60, 10, cfg),
     "g_partial": lambda cfg: g_partial(7, 100, cfg),
@@ -68,8 +68,6 @@ def _bits(x):
         return ("mpf", x._mpf_)
     if isinstance(x, (bool, int, type(None))):
         return x
-    if dataclasses.is_dataclass(x):
-        x = dataclasses.astuple(x)
     return tuple(_bits(v) for v in x)
 
 
@@ -82,8 +80,7 @@ GOLDEN = {
     "c0_main_terms@113": ("mpf", (0, 4557269342443654728639660457643963, -101, 112)),
     "cot_cos@53": ("float", "-0x1.4000000000000p-52"),
     "cot_cos@113": ("mpf", (1, 19, -115, 5)),
-    "cot_row@53": (None,
-                   ("float", "0x1.5fad570f872d9p+1"),
+    "cot_row@53": (("float", "0x1.5fad570f872d9p+1"),
                    ("float", "0x1.3116c3711527ep+0"),
                    ("float", "0x1.279a74590331cp-1"),
                    ("float", "0x1.691e1ebc5cbbcp-3"),
@@ -91,8 +88,7 @@ GOLDEN = {
                    ("float", "-0x1.279a74590331cp-1"),
                    ("float", "-0x1.3116c3711527ep+0"),
                    ("float", "-0x1.5fad570f872d9p+1")),
-    "cot_row@113": (None,
-                    ("mpf", (0, 7132859186964805082139495814128665, -111, 113)),
+    "cot_row@113": (("mpf", (0, 7132859186964805082139495814128665, -111, 113)),
                     ("mpf", (0, 3093969217487255592648870717198661, -111, 112)),
                     ("mpf", (0, 2997773988987530938558832353574291, -112, 112)),
                     ("mpf", (0, 7324336224059950693561974934902915, -115, 113)),
@@ -101,37 +97,28 @@ GOLDEN = {
                     ("mpf", (1, 3093969217487255592648870717198661, -111, 112)),
                     ("mpf", (1, 7132859186964805082139495814128665, -111, 113))),
     "estermann_alpha0@53": (("float", "0x1.0000000000000p-2"),
-                            ("float", "0x1.c2d32ba6a750ep-2"),
-                            0),
+                            ("float", "0x1.c2d32ba6a750ep-2")),
     "estermann_alpha0@113": (("mpf", (0, 1, -2, 1)),
                              ("mpf",
-                              (0, 4571907486630498641670315965618327, -113, 112)),
-                             0),
+                              (0, 4571907486630498641670315965618327, -113, 112))),
     "estermann_alpha2@53": (("float", "0x0.0p+0"),
-                            ("float", "-0x1.4f5e25c2334f5p+1"),
-                            2),
+                            ("float", "-0x1.4f5e25c2334f5p+1")),
     "estermann_alpha2@113": (("mpf", (0, 0, 0, 0)),
                              ("mpf",
-                              (1, 6802066350218929149462700795564021, -111, 113)),
-                             2),
+                              (1, 6802066350218929149462700795564021, -111, 113))),
     "estermann_alpha4@53": (("float", "0x0.0p+0"),
-                            ("float", "0x1.6883a26904a89p+6"),
-                            4),
+                            ("float", "0x1.6883a26904a89p+6")),
     "estermann_alpha4@113": (("mpf", (0, 0, 0, 0)),
                              ("mpf",
-                              (0, 7312096610134768956827212340661641, -106, 113)),
-                             4),
-    "estermann_k1@53": (("float", "0x0.0p+0"), ("float", "0x0.0p+0"), 2),
-    "estermann_k1@113": (("mpf", (0, 0, 0, 0)), ("mpf", (0, 0, 0, 0)), 2),
-    "estermann_odd@53": (("float", "-0x1.1111111111111p-8"), ("float", "0x0.0p+0"), 3),
+                              (0, 7312096610134768956827212340661641, -106, 113))),
+    "estermann_k1@53": (("float", "0x0.0p+0"), ("float", "0x0.0p+0")),
+    "estermann_k1@113": (("mpf", (0, 0, 0, 0)), ("mpf", (0, 0, 0, 0))),
+    "estermann_odd@53": (("float", "-0x1.1111111111111p-8"), ("float", "0x0.0p+0")),
     "estermann_odd@113": (("mpf", (1, 5538449982437149470432529417834769, -120, 113)),
-                          ("mpf", (0, 0, 0, 0)),
-                          3),
+                          ("mpf", (0, 0, 0, 0))),
     "estimate_C0@53": (("float", "-0x1.42b348c52d5b7p-1"),
-                       200,
                        ("float", "0x1.d83ee0c25f4cdp-14")),
     "estimate_C0@113": (("mpf", (1, 818142531844886857464523170445721, -110, 110)),
-                        200,
                         ("float", "0x1.d83ee0c0d86d8p-14")),
     "euler_gamma@53": ("float", "0x1.2788cfc6fb619p-1"),
     "euler_gamma@113": ("mpf", (0, 1534502442785444268401093204211049879, -121, 121)),
@@ -173,10 +160,8 @@ GOLDEN = {
     "log_two_pi@53": ("float", "0x1.d67f1c864beb5p+0"),
     "log_two_pi@113": ("mpf", (0, 2442957649482355028246220439649006145, -120, 121)),
     "r_series@53": (("float", "0x1.1d00f54e9e218p-2"),
-                    200,
                     ("float", "0x1.48c3582400000p-23")),
     "r_series@113": (("mpf", (0, 5780562655911104553622970117772417, -114, 113)),
-                     200,
                      ("float", "0x1.48c355107ff5fp-23")),
     "s_sum_asymptotic@53": ("float", "0x1.6029e0cba92a2p+7"),
     "s_sum_asymptotic@113": ("mpf", (0, 7142726106001471311919033151697181, -105, 113)),

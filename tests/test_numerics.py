@@ -2,7 +2,9 @@
 
 import math
 import os
+import random
 import threading
+import tracemalloc
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -18,16 +20,17 @@ from cotsum import (
     PreconditionError,
     ReducedFraction,
     bernoulli,
+    c0,
     euler_gamma,
     log_two_pi,
     sum_strategy,
 )
 from cotsum import numerics
+from cotsum.exact import _unit_row
 from cotsum.numerics import (
     _MP_LOCK,
     _context,
     _cot_kernel,
-    _cot_row,
     _exact_parts,
     _in_child,
 )
@@ -153,11 +156,12 @@ def test_bernoulli_capacity_and_domain():
 
 
 def test_cot_row_antisymmetry_exhaustive():
-    # cot(pi*(k-r)/k) = -cot(pi*r/k), bitwise by construction
+    # cot(pi*(k-m)/k) = -cot(pi*m/k), bitwise by construction
     for k in range(2, 201):
-        row = _cot_row(k, 53)
-        for r in range(1, k):
-            assert row[r] == -row[k - r]
+        cot = _unit_row(k, 53)[0]
+        assert len(cot) == k - 1
+        for m in range(1, k):
+            assert cot[m - 1] == -cot[k - m - 1]
 
 
 @given(
@@ -251,20 +255,53 @@ def test_compensated_matches_exact_rational_reference(cfg):
     # c0-style weighted cotangent terms, against the exact sum of the same
     # binary64 values
     for k in (101, 1009, 9973):
-        row = _cot_row(k, 53)
-        terms = [(row[r] * m) / k for m, r in zip(range(1, k), _residues(3, k))]
+        cot = _unit_row(k, 53)[0]
+        terms = [(cot[r - 1] * m) / k for m, r in zip(range(1, k), _residues(3, k))]
         exact = sum(Fraction(t) for t in terms)
         assert sum_strategy(terms, cfg) == float(exact)
 
 
 def test_sum_extended_matches_exact_rational_reference(cfg_ext):
     k = 1009
-    row = _cot_row(k, 113)
+    cot = _unit_row(k, 113)[0]
     with mpmath.workprec(113):
-        terms = [(row[r] * m) / k for m, r in zip(range(1, k), _residues(3, k))]
+        terms = [(cot[r - 1] * m) / k for m, r in zip(range(1, k), _residues(3, k))]
     exact = sum(_mpf_fraction(t) for t in terms)
     got = _mpf_fraction(sum_strategy(terms, cfg_ext))
     assert abs(got - exact) <= abs(exact) * Fraction(1, 2**105)
+
+
+def test_sum_extended_over_several_chunks_matches_one_fsum(cfg_ext):
+    # mixed signs and magnitudes 2^-120..2^-20 over 3 chunks and a tail, a
+    # float and an int among them, and a pair near 2^60 in the first and last
+    # chunks that cancels: a partial rounded to 113 bits would lose the first
+    # chunk's small terms
+    rng = random.Random(20151)
+    with mpmath.workprec(113):
+        big = mpmath.mpf(rng.getrandbits(113)) * 2**-53
+        terms = [big]
+        for _ in range(3 * numerics._SUM_CHUNK + 15):
+            x = mpmath.ldexp(rng.getrandbits(113), rng.randint(-233, -133))
+            terms.append(-x if rng.random() < 0.5 else x)
+        terms[100], terms[5000] = 0.1, -7
+        terms.append(-big)
+        expected = mpmath.fsum(terms)._mpf_
+    assert sum_strategy(terms, cfg_ext)._mpf_ == expected
+    assert sum_strategy(iter(terms), cfg_ext)._mpf_ == expected
+    assert isinstance(sum_strategy([], cfg_ext), mpmath.mpf)
+
+
+def test_sum_extended_memory_does_not_grow_with_the_terms(cfg_ext):
+    # c0(1/2^16) at 113 bits sums 32767 terms; held all at once, as one
+    # mpmath.fsum holds them, they peak at 4.7 MiB, one chunk at 1.2 MiB
+    c0(ReducedFraction(1, 64), cfg_ext)  # mpmath's lazy imports and caches
+    tracemalloc.start()
+    try:
+        c0(ReducedFraction(1, 2**16), cfg_ext)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _exact_sum(values) -> float:
@@ -390,7 +427,7 @@ def test_precision_config_validation():
     assert not PrecisionConfig().extended
     assert PrecisionConfig() == PrecisionConfig(53) == numerics.DEFAULT_CONFIG
     _assert_immutable_value(lambda: PrecisionConfig(113), "working_precision")
-    _assert_immutable_value(lambda: ConstantEstimate(0.5, 1000, 1e-9), "value")
+    _assert_immutable_value(lambda: ConstantEstimate(0.5, 1e-9), "value")
 
 
 def test_reduced_fraction_invariants():
