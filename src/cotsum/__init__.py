@@ -10,77 +10,11 @@ track the exact values: the residual delta(b) stays bounded rather than
 growing like log b, and the scan tooling here quantifies that.
 """
 
-from .asymptotics import (
-    LogFitReport,
-    ResidualRecord,
-    c0_main_terms,
-    check_C0_nodes,
-    estimate_C0,
-    extrapolate_C0,
-    f_term,
-    g_partial,
-    inner_block_expansion,
-    r_series,
-    residual_scan,
-    s_sum_asymptotic,
-    s_sum_direct,
-    taylor_f1,
-    taylor_f2,
-)
-from .exact import (
-    EstermannValue,
-    c0,
-    cot_cos_identity_residual,
-    estermann_at_zero,
-    floor_identities,
-    frac_via_cot_sin,
-)
-from .numerics import (
-    CapacityError,
-    ConstantEstimate,
-    DEFAULT_CONFIG,
-    PrecisionConfig,
-    PreconditionError,
-    ReducedFraction,
-    bernoulli,
-    euler_gamma,
-    log_two_pi,
-    sum_strategy,
-)
+from . import asymptotics, exact, numerics
+from .asymptotics import *  # noqa: F401,F403
+from .exact import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "ConstantEstimate",
-    "DEFAULT_CONFIG",
-    "EstermannValue",
-    "LogFitReport",
-    "PrecisionConfig",
-    "PreconditionError",
-    "ReducedFraction",
-    "ResidualRecord",
-    "bernoulli",
-    "c0",
-    "c0_main_terms",
-    "check_C0_nodes",
-    "cot_cos_identity_residual",
-    "estermann_at_zero",
-    "estimate_C0",
-    "euler_gamma",
-    "extrapolate_C0",
-    "f_term",
-    "floor_identities",
-    "frac_via_cot_sin",
-    "g_partial",
-    "inner_block_expansion",
-    "log_two_pi",
-    "r_series",
-    "residual_scan",
-    "s_sum_asymptotic",
-    "s_sum_direct",
-    "sum_strategy",
-    "taylor_f1",
-    "taylor_f2",
-    "__version__",
-]
+__all__ = [*numerics.__all__, *exact.__all__, *asymptotics.__all__, "__version__"]

@@ -35,9 +35,7 @@ __all__ = [
     "LogFitReport",
     "ResidualRecord",
     "c0_main_terms",
-    "check_C0_nodes",
     "estimate_C0",
-    "extrapolate_C0",
     "f_term",
     "g_partial",
     "inner_block_expansion",
@@ -270,14 +268,6 @@ def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantE
     return ConstantEstimate(value=diag[-1], tail_bound=step + rounding)
 
 
-def check_C0_nodes(bs: list[int]) -> None:
-    """Raise :class:`PreconditionError` unless bs can be extrapolated in 1/b.
-
-    That takes at least three values of b, each >= 2, strictly increasing.
-    """
-    _check_bs(bs, 3)
-
-
 def _check_bs(bs: list[int], fewest: int) -> None:
     """PreconditionError unless bs is ``fewest`` or more b >= 2, strictly increasing."""
     if len(bs) < fewest:
@@ -289,12 +279,14 @@ def _check_bs(bs: list[int], fewest: int) -> None:
         raise PreconditionError(f"bs must be strictly increasing, got {bs}")
 
 
-def extrapolate_C0(
-    bs: list[int],
-    estimates: list[ConstantEstimate],
-    cfg: PrecisionConfig = DEFAULT_CONFIG,
-) -> ConstantEstimate:
-    """The main-term constant from the values r(b) already computed for bs.
+def estimate_C0(
+    bs: list[int], K: int, cfg: PrecisionConfig = DEFAULT_CONFIG
+) -> tuple[ConstantEstimate, list[ConstantEstimate]]:
+    """Extract the main-term constant by extrapolating r(b) in 1/b to b = infinity.
+
+    Returns ``(constant, [r_series(b, K, cfg) for b in bs])``.  bs must be
+    three or more values of b >= 2, strictly increasing; it is checked before
+    anything is summed.
 
     Richardson-style: polynomial extrapolation at nodes 1/b (two levels for
     three nodes), then subtraction of the structural offset 1 between the
@@ -307,25 +299,22 @@ def extrapolate_C0(
     step times x0 = 1/bs[0], about twice the expected extrapolation error,
     plus the worst per-b tail bound.
     """
-    check_C0_nodes(bs)
+    _check_bs(bs, 3)
+    estimates = [r_series(b, K, cfg) for b in bs]
     with _context(cfg) as (mt, pi, real):
         diag = _neville_to_zero([real(1) / b for b in bs], [e.value for e in estimates])
         value = diag[-1] - R_SERIES_OFFSET
         extrapolation_step = abs(float(diag[-1] - diag[-2]))
-    tail = max(e.tail_bound for e in estimates)
-    return ConstantEstimate(value=value, tail_bound=extrapolation_step / bs[0] + tail)
+    tail_bound = extrapolation_step / bs[0] + max(e.tail_bound for e in estimates)
+    return ConstantEstimate(value=value, tail_bound=tail_bound), estimates
 
 
-def estimate_C0(
-    bs: list[int], K: int, cfg: PrecisionConfig = DEFAULT_CONFIG
-) -> ConstantEstimate:
-    """Extract the main-term constant by extrapolating r(b) in 1/b to b = infinity.
-
-    Each r(b) is truncated at K (see :func:`r_series`); the extrapolation is
-    :func:`extrapolate_C0`.  bs is checked before anything is summed.
-    """
-    check_C0_nodes(bs)
-    return extrapolate_C0(bs, [r_series(b, K, cfg) for b in bs], cfg)
+def _closed_form_C0(cfg: PrecisionConfig):
+    """The closed-form constant (gamma - log(2*pi))/2 at working precision."""
+    gamma = euler_gamma(cfg)
+    l2p = log_two_pi(cfg)
+    with _context(cfg):
+        return (gamma - l2p) / 2
 
 
 def s_sum_asymptotic(

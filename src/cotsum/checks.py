@@ -15,7 +15,7 @@ import math
 import random
 
 from . import asymptotics, exact
-from .numerics import PrecisionConfig, _in_child, euler_gamma, log_two_pi
+from .numerics import PrecisionConfig, _in_child
 
 DEFAULT_SEED = 927227
 
@@ -180,7 +180,7 @@ def lemma4(size: int | None, seed: int, cfg: PrecisionConfig):
 
 def lemma5(size: int | None, seed: int, cfg: PrecisionConfig):
     base_ratio = 10**4 if size is None else size
-    c0_const = (euler_gamma(cfg) - log_two_pi(cfg)) / 2
+    c0_const = asymptotics._closed_form_C0(cfg)
     cases = []
     for b in (10, 100):
         for ratio in (base_ratio, 10 * base_ratio):
@@ -195,8 +195,8 @@ def lemma5(size: int | None, seed: int, cfg: PrecisionConfig):
 
 def corollary(size: int | None, seed: int, cfg: PrecisionConfig):
     K = 10**6 if size is None else size
-    closed_form = (euler_gamma(cfg) - log_two_pi(cfg)) / 2
-    estimate = asymptotics.estimate_C0([100, 1000, 10000], K, cfg)
+    closed_form = asymptotics._closed_form_C0(cfg)
+    estimate, _ = asymptotics.estimate_C0([100, 1000, 10000], K, cfg)
     gap = abs(float(estimate.value - closed_form))
     cases = [(f"bs=100,1000,10000,K={K}", gap <= 1e-3, gap)]
     extra = {

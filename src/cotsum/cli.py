@@ -35,7 +35,7 @@ from .numerics import (
     log_two_pi,
 )
 
-__all__ = ["OutputRecord", "build_parser", "main", "entrypoint"]
+__all__ = ["build_parser", "main", "entrypoint"]
 
 # About 20 s of c0 at the ~12 ns per term measured on a 2-vCPU Xeon; the
 # doubling ladder 256..2^30 (1,073,741,673 terms) fits, 256..2^31 does not.
@@ -49,37 +49,15 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-class OutputRecord:
-    """One machine-readable result: command, inputs, named outputs, residues."""
-
-    def __init__(self, command: str, parameters=None, values=None, diagnostics=None):
-        self.command = command
-        self.parameters = {} if parameters is None else parameters
-        self.values = {} if values is None else values
-        self.diagnostics = {} if diagnostics is None else diagnostics
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "values": self.values,
-            "diagnostics": self.diagnostics,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    def to_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        for section_name, section in (
-            ("parameters", self.parameters),
-            ("values", self.values),
-            ("diagnostics", self.diagnostics),
-        ):
-            for key in sorted(section):
-                lines.append(f"{section_name}.{key} = {section[key]!r}")
-        return "\n".join(lines)
-
-    def render(self, fmt: str) -> str:
-        return self.to_json() if fmt == "json" else self.to_text()
+def _render(fmt: str, command: str, parameters, values, diagnostics) -> str:
+    """One result as sorted-key JSON, or as ``section.key = repr(value)`` lines."""
+    sections = {"parameters": parameters, "values": values, "diagnostics": diagnostics}
+    if fmt == "json":
+        return json.dumps({"command": command, **sections}, sort_keys=True, indent=2)
+    lines = [f"command: {command}"]
+    for name, section in sections.items():
+        lines += [f"{name}.{key} = {section[key]!r}" for key in sorted(section)]
+    return "\n".join(lines)
 
 
 def _full_digits(x, cfg: PrecisionConfig) -> str:
@@ -217,24 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     frac = ReducedFraction(args.h, args.k)
-    record = OutputRecord(
-        command="eval",
-        parameters={"h": args.h, "k": args.k, "alpha": args.alpha,
-                    "precision": cfg.working_precision},
-    )
+    parameters = {"h": args.h, "k": args.k, "alpha": args.alpha,
+                  "precision": cfg.working_precision}
     value = exact.c0(frac, cfg)
-    record.values["c0"] = float(value)
+    values = {"c0": float(value)}
+    diagnostics = {}
     if cfg.extended:
-        record.diagnostics["c0_digits"] = _full_digits(value, cfg)
+        diagnostics["c0_digits"] = _full_digits(value, cfg)
     if args.alpha is not None:
         ev = exact.estermann_at_zero(frac, args.alpha, cfg)
-        record.values["estermann_re"] = float(ev.real_part)
-        record.values["estermann_im"] = float(ev.imag_part)
+        values["estermann_re"] = float(ev.real_part)
+        values["estermann_im"] = float(ev.imag_part)
         if cfg.extended:
-            record.diagnostics["estermann_im_digits"] = _full_digits(
-                ev.imag_part, cfg
-            )
-    print(record.render(args.format))
+            diagnostics["estermann_im_digits"] = _full_digits(ev.imag_part, cfg)
+    print(_render(args.format, "eval", parameters, values, diagnostics))
     return EXIT_OK
 
 
@@ -248,23 +222,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"suite {args.suite} with --size {args.size} has no cases to check"
         )
     failures = [name for name, ok, _ in cases if not ok]
-    record = OutputRecord(
-        command="verify",
-        parameters={"suite": args.suite, "size": args.size, "seed": args.seed,
-                    "precision": cfg.working_precision},
-        values={
-            "cases": len(cases),
-            "failed": len(failures),
-            "max_residue": checks.worst_residue(res for _, _, res in cases),
-            "passed": not failures,
-        },
-        diagnostics={"failed_cases": failures, **extra},
-    )
     if args.format == "text":
         for name, ok, residue in cases:
             print(f"{'PASS' if ok else 'FAIL'} {args.suite} {name} "
                   f"residue={residue!r}")
-    print(record.render(args.format))
+    parameters = {"suite": args.suite, "size": args.size, "seed": args.seed,
+                  "precision": cfg.working_precision}
+    values = {
+        "cases": len(cases),
+        "failed": len(failures),
+        "max_residue": checks.worst_residue(res for _, _, res in cases),
+        "passed": not failures,
+    }
+    diagnostics = {"failed_cases": failures, **extra}
+    print(_render(args.format, "verify", parameters, values, diagnostics))
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
@@ -320,24 +291,20 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
         raise PreconditionError(
             f"cannot write {out_path!r}: {err.strerror or err}"
         ) from err
-    record = OutputRecord(
-        command="residuals",
-        parameters={
-            "b_min": args.b_min,
-            "b_max": args.b_max,
-            "geometric_step": args.geometric_step,
-            "out": out_path,
-            "precision": cfg.working_precision,
-        },
-        values={
-            "rows": len(records),
-            "slope": report.slope,
-            "intercept": report.intercept,
-            "max_abs_delta": report.max_abs_delta,
-        },
-        diagnostics={"total_steps": cost},
-    )
-    print(record.to_json())
+    parameters = {
+        "b_min": args.b_min,
+        "b_max": args.b_max,
+        "geometric_step": args.geometric_step,
+        "out": out_path,
+        "precision": cfg.working_precision,
+    }
+    values = {
+        "rows": len(records),
+        "slope": report.slope,
+        "intercept": report.intercept,
+        "max_abs_delta": report.max_abs_delta,
+    }
+    print(_render("json", "residuals", parameters, values, {"total_steps": cost}))
     return EXIT_OK
 
 
@@ -382,42 +349,34 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         raise PreconditionError(f"could not parse --bs {args.bs!r}") from err
     if not bs or any(b < 2 for b in bs):
         raise PreconditionError(f"every b must be an integer >= 2, got {args.bs!r}")
-    # Check the extrapolation's nodes, or that no b repeats, before any r(b)
-    # is summed.
-    extrapolate = len(bs) >= 3
-    if extrapolate:
-        asymptotics.check_C0_nodes(bs)
-    elif len(set(bs)) != len(bs):
+    # estimate_C0 checks three or more b before it sums any r(b).
+    if len(bs) < 3 and len(set(bs)) != len(bs):
         raise PreconditionError(f"every b must be distinct, got {args.bs!r}")
     gamma = euler_gamma(cfg)
     l2p = log_two_pi(cfg)
-    closed_form = (gamma - l2p) / 2
-    record = OutputRecord(
-        command="constants",
-        parameters={"K": args.K, "bs": bs, "precision": cfg.working_precision},
-        values={
-            "euler_gamma": float(gamma),
-            "log_two_pi": float(l2p),
-            "closed_form_C0": float(closed_form),
-        },
-    )
+    closed_form = float(asymptotics._closed_form_C0(cfg))
+    values = {
+        "euler_gamma": float(gamma),
+        "log_two_pi": float(l2p),
+        "closed_form_C0": closed_form,
+    }
+    diagnostics = {}
     if cfg.extended:
-        record.diagnostics["euler_gamma_digits"] = _full_digits(gamma, cfg)
-        record.diagnostics["log_two_pi_digits"] = _full_digits(l2p, cfg)
-    estimates = [asymptotics.r_series(b, args.K, cfg) for b in bs]
-    for b, est in zip(bs, estimates):
-        record.values[f"r_{b}"] = float(est.value)
-        record.diagnostics[f"r_{b}_tail_bound"] = est.tail_bound
-    if extrapolate:
-        estimate = asymptotics.extrapolate_C0(bs, estimates, cfg)
-        record.values["C0_estimate"] = float(estimate.value)
-        record.values["C0_gap"] = abs(float(estimate.value) - float(closed_form))
-        record.diagnostics["C0_tail_bound"] = estimate.tail_bound
+        diagnostics["euler_gamma_digits"] = _full_digits(gamma, cfg)
+        diagnostics["log_two_pi_digits"] = _full_digits(l2p, cfg)
+    if len(bs) >= 3:
+        estimate, estimates = asymptotics.estimate_C0(bs, args.K, cfg)
+        values["C0_estimate"] = float(estimate.value)
+        values["C0_gap"] = abs(float(estimate.value) - closed_form)
+        diagnostics["C0_tail_bound"] = estimate.tail_bound
     else:
-        record.diagnostics["extrapolation"] = (
-            "skipped: need at least 3 values of b"
-        )
-    print(record.render(args.format))
+        estimates = [asymptotics.r_series(b, args.K, cfg) for b in bs]
+        diagnostics["extrapolation"] = "skipped: need at least 3 values of b"
+    for b, est in zip(bs, estimates):
+        values[f"r_{b}"] = float(est.value)
+        diagnostics[f"r_{b}_tail_bound"] = est.tail_bound
+    parameters = {"K": args.K, "bs": bs, "precision": cfg.working_precision}
+    print(_render(args.format, "constants", parameters, values, diagnostics))
     return EXIT_OK
 
 
@@ -437,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _HANDLERS[args.subcommand](args)
-    except (PreconditionError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

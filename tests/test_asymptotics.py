@@ -26,7 +26,7 @@ from cotsum import (
     taylor_f1,
     taylor_f2,
 )
-from cotsum import asymptotics, g_partial, numerics
+from cotsum import asymptotics, checks, g_partial, numerics
 from cotsum.asymptotics import _neville_to_zero, _r_checkpoints, _r_terms
 from cotsum.numerics import _context, sum_strategy
 
@@ -447,21 +447,21 @@ def test_r_series_preconditions(cfg):
 
 
 def test_estimate_c0_small_K(cfg):
-    est = estimate_C0([100, 1000, 10000], 10**5, cfg)
+    est, _ = estimate_C0([100, 1000, 10000], 10**5, cfg)
     assert abs(est.value - closed_form_constant(cfg)) <= 1e-3
     assert est.tail_bound > 0
 
 
 def test_estimate_c0_doubling_halves_the_gap(cfg):
-    coarse = estimate_C0([50, 500, 5000], 5 * 10**4, cfg)
-    fine = estimate_C0([100, 1000, 10000], 10**5, cfg)
+    coarse, _ = estimate_C0([50, 500, 5000], 5 * 10**4, cfg)
+    fine, _ = estimate_C0([100, 1000, 10000], 10**5, cfg)
     target = closed_form_constant(cfg)
     assert abs(fine.value - target) <= abs(coarse.value - target) / 2 + 1e-9
 
 
 def test_estimate_c0_small_bs_is_coarser(cfg):
-    small_bs = estimate_C0([2, 3, 4], 10**5, cfg)
-    good = estimate_C0([100, 1000, 10000], 10**5, cfg)
+    small_bs, _ = estimate_C0([2, 3, 4], 10**5, cfg)
+    good, _ = estimate_C0([100, 1000, 10000], 10**5, cfg)
     target = closed_form_constant(cfg)
     assert abs(small_bs.value - target) >= abs(good.value - target)
     assert small_bs.tail_bound >= good.tail_bound
@@ -478,13 +478,13 @@ def test_estimate_c0_preconditions(cfg):
 
 def test_estimate_c0_reaches_the_extrapolation_floor(cfg):
     # the 1/K extrapolation leaves the 3-node 1/b extrapolation's ~4e-10 error
-    est = estimate_C0([100, 1000, 10000], 2 * 10**4, cfg)
+    est, _ = estimate_C0([100, 1000, 10000], 2 * 10**4, cfg)
     assert abs(est.value - closed_form_constant(cfg)) <= 1e-9
 
 
 def test_estimate_c0_tail_bound_covers_the_gap_closely(cfg):
     # the bound is about twice the extrapolation error, not ~200 times it
-    est = estimate_C0([100, 1000, 10000], 2 * 10**4, cfg)
+    est, _ = estimate_C0([100, 1000, 10000], 2 * 10**4, cfg)
     gap = abs(est.value - closed_form_constant(cfg))
     assert gap <= est.tail_bound <= 10 * gap
 
@@ -596,3 +596,19 @@ def test_extended_precision_holds_a_fortiori(cfg_ext):
     assert defect <= 2 + 0.05 * b * b / L
     est = r_series(1000, 10**4, cfg_ext)
     assert abs(est.value - (1 + closed_form_constant(cfg_ext))) <= 2e-3
+
+
+def test_lemma5_forms_the_constant_at_working_precision(cfg_ext, monkeypatch):
+    # formed outside a precision block, it would round to 53 bits, ~2e-17 off
+    used = []
+    s_sum_asymptotic = asymptotics.s_sum_asymptotic
+
+    def recording(L, b, C0, cfg):
+        used.append(C0)
+        return s_sum_asymptotic(L, b, C0, cfg)
+
+    monkeypatch.setattr(asymptotics, "s_sum_asymptotic", recording)
+    checks.lemma5(1, None, cfg_ext)
+    with mpmath.workprec(200):
+        reference = (mpmath.euler - mpmath.log(2 * mpmath.pi)) / 2
+        assert used and all(abs(C0 - reference) <= 1e-33 for C0 in used)

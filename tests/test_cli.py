@@ -629,6 +629,118 @@ def test_constants_reproduces_the_recorded_bits(capsys):
     }
 
 
+# ------------------------------------------------------------ rendering
+
+# Full stdout in both formats: key order, indentation, each value's repr and
+# the final newline.
+RENDERED = [
+    (
+        "eval --h 3 --k 8 --alpha 2 --precision 113",
+        """\
+{
+  "command": "eval",
+  "diagnostics": {
+    "c0_digits": "0.414213562373095048801688724209698081",
+    "estermann_im_digits": "-0.871320343559642573202533086314547073"
+  },
+  "parameters": {
+    "alpha": 2,
+    "h": 3,
+    "k": 8,
+    "precision": 113
+  },
+  "values": {
+    "c0": 0.41421356237309503,
+    "estermann_im": -0.8713203435596426,
+    "estermann_re": 0.0
+  }
+}
+""",
+    ),
+    (
+        "eval --h 3 --k 8 --alpha 2 --precision 113 --format text",
+        """\
+command: eval
+parameters.alpha = 2
+parameters.h = 3
+parameters.k = 8
+parameters.precision = 113
+values.c0 = 0.41421356237309503
+values.estermann_im = -0.8713203435596426
+values.estermann_re = 0.0
+diagnostics.c0_digits = '0.414213562373095048801688724209698081'
+diagnostics.estermann_im_digits = '-0.871320343559642573202533086314547073'
+""",
+    ),
+    (
+        "verify --suite lemma4 --size 20",
+        """\
+{
+  "command": "verify",
+  "diagnostics": {
+    "failed_cases": [],
+    "max_scaled_defect": 0.40931086666506994
+  },
+  "parameters": {
+    "precision": 53,
+    "seed": 927227,
+    "size": 20,
+    "suite": "lemma4"
+  },
+  "values": {
+    "cases": 4,
+    "failed": 0,
+    "max_residue": 0.40931086666506994,
+    "passed": true
+  }
+}
+""",
+    ),
+    (
+        "verify --suite lemma4 --size 20 --format text",
+        """\
+PASS lemma4 k=10,b=10 residue=0.33490872022983725
+PASS lemma4 k=10,b=20 residue=0.39155824786033877
+PASS lemma4 k=20,b=10 residue=0.3493063403142141
+PASS lemma4 k=20,b=20 residue=0.40931086666506994
+command: verify
+parameters.precision = 53
+parameters.seed = 927227
+parameters.size = 20
+parameters.suite = 'lemma4'
+values.cases = 4
+values.failed = 0
+values.max_residue = 0.40931086666506994
+values.passed = True
+diagnostics.failed_cases = []
+diagnostics.max_scaled_defect = 0.40931086666506994
+""",
+    ),
+    (
+        "constants --K 1000 --bs 2 --format text",
+        """\
+command: constants
+parameters.K = 1000
+parameters.bs = [2]
+parameters.precision = 53
+values.closed_form_C0 = -0.6303307007539063
+values.euler_gamma = 0.5772156649015329
+values.log_two_pi = 1.8378770664093456
+values.r_2 = 0.15342640971962748
+diagnostics.extrapolation = 'skipped: need at least 3 values of b'
+diagnostics.r_2_tail_bound = 1.4380763246890638e-10
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", RENDERED)
+def test_rendered_output_is_pinned(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, argv.split())
+    assert code == 0
+    assert out == expected
+
+
 # ------------------------------------------------------------ determinism
 
 

@@ -21,6 +21,15 @@ def test_package_exports_resolve():
     assert [n for n in cotsum.__all__ if n not in namespace] == []
 
 
+def test_package_exports_are_the_star_exported_modules():
+    # a name in two lists would be star-imported twice, the later one winning
+    lists = [cotsum.numerics.__all__, cotsum.exact.__all__, cotsum.asymptotics.__all__]
+    names = [name for exported in lists for name in exported]
+    assert len(names) == len(set(names))
+    assert len(cotsum.__all__) == len(set(cotsum.__all__))
+    assert set(cotsum.__all__) == {*names, "__version__"}
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"cotsum.{name}")
