@@ -7,14 +7,16 @@ eval        evaluate c0(h/k) and, optionally, the zeta-type value at the
 verify      run a named identity/bound suite (prop1, floor, lemma2, lemma4,
             lemma5, corollary) and exit nonzero on any failure
 residuals   scan delta(b) = c0(1/b) - main_terms(b) over a range of b, write
-            the rows to CSV/JSON and report the log-fit
+            the rows to --out (JSON if it ends in .json, else CSV) and
+            report the log-fit
 constants   report gamma, log(2*pi), the block-series values r(b) and the
             extrapolated main-term constant
 
+Every command takes --precision BITS (default 53), the working precision,
+and --format json|text, the format of its stdout.
 Exit codes: 0 success, 1 verification failure, 2 usage/precondition error.
 Machine-readable output is byte-identical across repeated runs with the same
-arguments; nothing time- or host-dependent is ever emitted.  The environment
-variable COTSUM_PRECISION sets the default working precision in bits.
+arguments; nothing time- or host-dependent is ever emitted.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import signal
 import sys
 
@@ -75,34 +76,19 @@ def _full_digits(x, cfg: PrecisionConfig) -> str:
     return mpmath.nstr(x, digits)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, fmt: bool = True) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--precision",
         type=int,
-        default=None,
-        help="working precision in bits (>= 53; default from COTSUM_PRECISION or 53)",
+        default=53,
+        help="working precision in bits (>= 53; default: 53)",
     )
-    if fmt:
-        sub.add_argument(
-            "--format",
-            choices=["json", "text"],
-            default="json",
-            help="output format on stdout (default: json)",
-        )
-
-
-def _config_from(args: argparse.Namespace) -> PrecisionConfig:
-    """The configuration for ``--precision``, else COTSUM_PRECISION, else 53."""
-    precision = args.precision
-    if precision is None:
-        env = os.environ.get("COTSUM_PRECISION", "53")
-        try:
-            precision = int(env)
-        except ValueError as err:
-            raise PreconditionError(
-                f"COTSUM_PRECISION must be an integer, got {env!r}"
-            ) from err
-    return PrecisionConfig(working_precision=precision)
+    sub.add_argument(
+        "--format",
+        choices=["json", "text"],
+        default="json",
+        help="output format on stdout (default: json)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,8 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument(
         "--out",
         type=str,
-        default=None,
-        help="output path for the rows (default: residuals.csv / residuals.json)",
+        default="residuals.csv",
+        help="output path for the rows, written as JSON if it ends in .json "
+        "and as CSV otherwise (default: residuals.csv)",
     )
     p_res.add_argument(
         "--budget",
@@ -164,14 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_RESIDUAL_BUDGET,
         help="maximum total terms summed by c0 ((b-1)//2 per sampled b)",
     )
-    _add_common_flags(p_res, fmt=False)
-    p_res.add_argument(
-        "--format",
-        choices=["csv", "json"],
-        default="csv",
-        help="format of the rows file (default: csv); the stdout summary is "
-        "always JSON",
-    )
+    _add_common_flags(p_res)
 
     p_const = sub.add_parser("constants", help="report the extracted constants")
     p_const.add_argument(
@@ -192,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def _cmd_eval(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
     frac = ReducedFraction(args.h, args.k)
     parameters = {"h": args.h, "k": args.k, "alpha": args.alpha,
                   "precision": cfg.working_precision}
@@ -212,8 +191,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def _cmd_verify(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
     if args.size is not None and args.size < 1:
         raise PreconditionError(f"--size must be positive, got {args.size}")
     cases, extra = checks.SUITES[args.suite](args.size, args.seed, cfg)
@@ -268,8 +246,7 @@ def _residual_bs(b_min: int, b_max: int, step: float | None) -> list[int]:
     return bs
 
 
-def _cmd_residuals(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def _cmd_residuals(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
     if args.b_min < 2 or args.b_min >= args.b_max:
         raise PreconditionError(
             f"need 2 <= b_min < b_max, got ({args.b_min}, {args.b_max})"
@@ -282,20 +259,17 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
             f"{args.budget}; use --geometric-step to thin the sample"
         )
     records, report = asymptotics.residual_scan(bs, cfg)
-    out_path = args.out or (
-        "residuals.json" if args.format == "json" else "residuals.csv"
-    )
     try:
-        _write_residuals(out_path, records, report, args.format)
+        _write_residuals(args.out, records, report)
     except OSError as err:
         raise PreconditionError(
-            f"cannot write {out_path!r}: {err.strerror or err}"
+            f"cannot write {args.out!r}: {err.strerror or err}"
         ) from err
     parameters = {
         "b_min": args.b_min,
         "b_max": args.b_max,
         "geometric_step": args.geometric_step,
-        "out": out_path,
+        "out": args.out,
         "precision": cfg.working_precision,
     }
     values = {
@@ -304,12 +278,14 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
         "intercept": report.intercept,
         "max_abs_delta": report.max_abs_delta,
     }
-    print(_render("json", "residuals", parameters, values, {"total_steps": cost}))
+    print(_render(args.format, "residuals", parameters, values,
+                  {"total_steps": cost}))
     return EXIT_OK
 
 
-def _write_residuals(path: str, records, report, fmt: str) -> None:
-    if fmt == "json":
+def _write_residuals(path: str, records, report) -> None:
+    """The rows as JSON, with a trailing summary, if path ends in .json; else CSV."""
+    if path.endswith(".json"):
         rows = [
             {
                 "b": r.b,
@@ -341,8 +317,7 @@ def _write_residuals(path: str, records, report, fmt: str) -> None:
             )
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def _cmd_constants(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
     try:
         bs = [int(part) for part in args.bs.split(",") if part.strip()]
     except ValueError as err:
@@ -395,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[args.subcommand](args)
+        cfg = PrecisionConfig(args.precision)
+        return _HANDLERS[args.subcommand](args, cfg)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -99,9 +99,7 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
 
 
 def _check_c0_k(k: int) -> None:
-    """Raise unless :func:`c0` takes the denominator k: 2 <= k < 2^32."""
-    if k < 2:
-        raise PreconditionError(f"c0 requires k >= 2, got k = {k}")
+    """Raise unless :func:`c0` takes the denominator k: k < 2^32."""
     if k >= _C0_MAX_K:
         raise CapacityError(f"c0 requires k < 2^32, got k = {k}")
 
@@ -198,7 +196,6 @@ def estermann_at_zero(
 ) -> EstermannValue:
     """Closed-form value at the origin for twist order ``alpha``.
 
-    k = 1:      (-1)^(alpha+1) * B_{alpha+1} / (2(alpha+1))
     odd alpha:  B_{alpha+1} / (2(alpha+1))
     even alpha: (-i/2)^(alpha+1) sum_{m=1}^{k-1} (m/k) cot^(alpha)(pi*m*h/k)
                 + 1/4 when alpha = 0, where the sum is -c0(h/k).
@@ -208,10 +205,8 @@ def estermann_at_zero(
     """
     if alpha < 0:
         raise PreconditionError(f"alpha must be >= 0, got {alpha}")
-    if frac.k == 1 or alpha % 2 == 1:
+    if alpha % 2 == 1:
         value = bernoulli(alpha + 1) / (2 * (alpha + 1))
-        if frac.k == 1 and alpha % 2 == 0:
-            value = -value
         with _context(cfg) as (mt, pi, real):
             return EstermannValue(
                 real_part=real(value.numerator) / value.denominator, imag_part=real(0)

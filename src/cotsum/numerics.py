@@ -85,25 +85,18 @@ DEFAULT_CONFIG = PrecisionConfig()
 
 
 class ReducedFraction(NamedTuple("ReducedFraction", [("h", int), ("k", int)])):
-    """A fraction h/k in lowest terms, the argument of the cotangent sum.
+    """The argument h/k of the cotangent sum, in lowest terms with 1 <= h < k.
 
-    k = 1 is permitted (with h = 1) only because the value at integer
-    arguments has its own closed form; every other use requires k >= 2 and
-    1 <= h < k.  ``_replace`` would skip these checks.
+    ``_replace`` would skip these checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, h: int, k: int):
-        if h < 1 or k < 1:
-            raise ValueError(f"h and k must be positive, got ({h}, {k})")
-        if k == 1:
-            if h != 1:
-                raise ValueError("k = 1 requires h = 1")
-        elif not h < k:
-            raise ValueError(f"need 1 <= h < k, got ({h}, {k})")
-        elif gcd(h, k) != 1:
-            raise ValueError(f"h and k must be coprime, got ({h}, {k})")
+        if not 1 <= h < k:
+            raise PreconditionError(f"need 1 <= h < k, got ({h}, {k})")
+        if gcd(h, k) != 1:
+            raise PreconditionError(f"h and k must be coprime, got ({h}, {k})")
         return super().__new__(cls, h, k)
 
 
@@ -170,6 +163,10 @@ def log_two_pi(cfg: PrecisionConfig = DEFAULT_CONFIG):
         return mt.log(2 * pi)
 
 
+# The largest Bernoulli index :func:`bernoulli` returns.
+_BERNOULLI_CAP = 64
+
+
 @lru_cache(maxsize=None)
 def _bernoulli_exact(m: int) -> Fraction:
     # Defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0, solved for B_m.
@@ -183,16 +180,16 @@ def _bernoulli_exact(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-def bernoulli(m: int, max_index: int = 64) -> Fraction:
+def bernoulli(m: int) -> Fraction:
     """Exact Bernoulli number B_m (convention B_1 = -1/2) as a Fraction.
 
     Computed by the defining recurrence in exact rational arithmetic and
-    cached.  Indices above ``max_index`` raise :class:`CapacityError`.
+    cached.  Indices above ``_BERNOULLI_CAP`` (64) raise :class:`CapacityError`.
     """
     if m < 0:
         raise PreconditionError(f"Bernoulli index must be >= 0, got {m}")
-    if m > max_index:
-        raise CapacityError(f"Bernoulli index {m} exceeds maximum {max_index}")
+    if m > _BERNOULLI_CAP:
+        raise CapacityError(f"Bernoulli index {m} exceeds maximum {_BERNOULLI_CAP}")
     return _bernoulli_exact(m)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cotsum
-from cotsum.cli import main
+from cotsum.cli import _render, main
 
 
 def run_cli(capsys, argv):
@@ -56,10 +56,12 @@ def test_eval_rejects_non_coprime(capsys):
 
 def test_eval_rejects_bad_range(capsys):
     assert run_cli(capsys, ["eval", "--h", "5", "--k", "3"])[0] == 2
-    assert run_cli(capsys, ["eval", "--h", "1", "--k", "1"])[0] == 2
+    code, _, err = run_cli(capsys, ["eval", "--h", "1", "--k", "1"])
+    assert code == 2
+    assert err == "error: need 1 <= h < k, got (1, 1)\n"
 
 
-def test_eval_extended_precision_diagnostics(capsys):
+def test_eval_extended_precision_diagnostics(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, ["eval", "--h", "1", "--k", "3", "--precision", "113"]
     )
@@ -67,12 +69,21 @@ def test_eval_extended_precision_diagnostics(capsys):
     payload = json.loads(out)
     assert payload["values"]["c0"] == pytest.approx(math.sqrt(3) / 9, rel=1e-12)
     assert payload["diagnostics"]["c0_digits"].startswith("0.19245008972987")
+    # only --precision sets the precision: the environment is not read
+    monkeypatch.setenv("COTSUM_PRECISION", "113")
+    code, out, _ = run_cli(capsys, ["eval", "--h", "1", "--k", "3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["parameters"]["precision"] == 53
+    assert "c0_digits" not in payload["diagnostics"]
 
 
 def test_usage_error_exit_code(capsys):
     assert main(["eval", "--h", "1"]) == 2  # missing --k
     assert main(["nonsense"]) == 2
     assert main(["verify", "--suite", "bogus"]) == 2
+    # --format is the stdout format on every command, never the rows format
+    assert main(["residuals", "--b-min", "3", "--b-max", "4", "--format", "csv"]) == 2
 
 
 def test_removed_summation_flags_are_usage_errors(capsys):
@@ -81,30 +92,6 @@ def test_removed_summation_flags_are_usage_errors(capsys):
     assert code == 2
     assert "--summation" in err
     assert run_cli(capsys, [*eval_c0, "--parallel-chunk", "64"])[0] == 2
-
-
-def test_precision_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("COTSUM_PRECISION", "113")
-    code, out, _ = run_cli(capsys, ["eval", "--h", "1", "--k", "3"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["parameters"]["precision"] == 113
-    assert "c0_digits" in payload["diagnostics"]
-
-
-def test_precision_env_rejects_non_integer(capsys, monkeypatch):
-    monkeypatch.setenv("COTSUM_PRECISION", "abc")
-    code, out, err = run_cli(capsys, ["eval", "--h", "1", "--k", "3"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "COTSUM_PRECISION" in err and "'abc'" in err
-    # an explicit --precision never reads the environment
-    code, out, _ = run_cli(
-        capsys, ["eval", "--h", "1", "--k", "3", "--precision", "53"]
-    )
-    assert code == 0
-    assert json.loads(out)["parameters"]["precision"] == 53
 
 
 # ----------------------------------------------------------------- verify
@@ -392,21 +379,24 @@ def test_residuals_small_scan(capsys, tmp_path):
     )
 
 
-def test_residuals_json_rows_with_trailing_summary(capsys, tmp_path):
+def test_residuals_json_rows_with_trailing_summary(capsys, tmp_path, monkeypatch):
     out_file = tmp_path / "rows.json"
-    code, out, _ = run_cli(
-        capsys,
-        [
-            "residuals", "--b-min", "4", "--b-max", "64",
-            "--geometric-step", "2", "--format", "json", "--out", str(out_file),
-        ],
-    )
+    argv = ["residuals", "--b-min", "4", "--b-max", "64", "--geometric-step", "2",
+            "--format", "json"]
+    code, out, _ = run_cli(capsys, [*argv, "--out", str(out_file)])
     assert code == 0
     rows = json.loads(out_file.read_text())
     assert len(rows) == 6  # 4, 8, 16, 32, 64 plus the summary
     for row in rows[:-1]:
         assert set(row) == {"b", "c0_exact", "c0_main_terms", "delta"}
     assert set(rows[-1]) == {"slope", "intercept", "max_abs_delta"}
+    # the suffix of --out picks the rows format, not --format
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["parameters"]["out"] == "residuals.csv"
+    assert (tmp_path / "residuals.csv").read_text().startswith("b,c0_exact,")
+    assert not (tmp_path / "residuals.json").exists()
 
 
 def test_residuals_unwritable_out_is_a_usage_error(capsys, tmp_path):
@@ -463,17 +453,23 @@ def test_residuals_default_budget_admits_the_2_to_30_ladder():
 
 def test_residuals_geometric_ladder(capsys, tmp_path):
     out_file = tmp_path / "ladder.csv"
-    code, out, _ = run_cli(
-        capsys,
-        [
-            "residuals", "--b-min", "256", "--b-max", "4096",
-            "--geometric-step", "2", "--out", str(out_file),
-        ],
-    )
+    argv = ["residuals", "--b-min", "256", "--b-max", "4096", "--geometric-step", "2"]
+    code, out, _ = run_cli(capsys, [*argv, "--out", str(out_file)])
     assert code == 0
     payload = json.loads(out)
     assert payload["values"]["rows"] == 5
     assert abs(payload["values"]["slope"]) <= 0.02
+    # --format text changes stdout only: the same result as text lines, and
+    # the same rows file
+    text_file = tmp_path / "ladder-text.csv"
+    code, text, _ = run_cli(
+        capsys, [*argv, "--format", "text", "--out", str(text_file)]
+    )
+    assert code == 0
+    parameters = {**payload["parameters"], "out": str(text_file)}
+    assert text == _render("text", "residuals", parameters, payload["values"],
+                           payload["diagnostics"]) + "\n"
+    assert text_file.read_bytes() == out_file.read_bytes()
 
 
 @pytest.mark.parametrize("step", ["inf", "1e400", "nan"])

@@ -18,7 +18,6 @@ from cotsum import (
     PrecisionConfig,
     PreconditionError,
     ReducedFraction,
-    bernoulli,
     c0,
     checks,
     cot_cos_identity_residual,
@@ -261,16 +260,6 @@ def test_estermann_odd_alpha_is_rational(cfg):
     v3 = estermann_at_zero(ReducedFraction(1, 9), 3, cfg)
     assert v3.real_part == pytest.approx(float(Fraction(-1, 240)), rel=1e-15)
     assert v3.imag_part == 0.0
-
-
-def test_estermann_integer_argument_branch(cfg):
-    one = ReducedFraction(1, 1)
-    assert estermann_at_zero(one, 1, cfg).real_part == pytest.approx(1 / 24, rel=1e-15)
-    # even alpha: (-1)^(alpha+1) B_{alpha+1} / (2(alpha+1))
-    assert estermann_at_zero(one, 0, cfg).real_part == pytest.approx(0.25, rel=1e-15)
-    assert estermann_at_zero(one, 2, cfg).real_part == 0.0  # B_3 = 0
-    v5 = estermann_at_zero(one, 5, cfg)
-    assert v5.real_part == pytest.approx(float(bernoulli(6) / 12), rel=1e-15)
 
 
 def test_estermann_even_alpha_structure(cfg):

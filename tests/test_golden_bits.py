@@ -36,7 +36,6 @@ from cotsum.numerics import euler_gamma, log_two_pi, sum_strategy
 CASES = {
     "c0_3_17": lambda cfg: c0(ReducedFraction(3, 17), cfg),
     "c0_1_64": lambda cfg: c0(ReducedFraction(1, 64), cfg),
-    "estermann_k1": lambda cfg: estermann_at_zero(ReducedFraction(1, 1), 2, cfg),
     "estermann_odd": lambda cfg: estermann_at_zero(ReducedFraction(2, 7), 3, cfg),
     "estermann_alpha0": lambda cfg: estermann_at_zero(ReducedFraction(3, 11), 0, cfg),
     "estermann_alpha2": lambda cfg: estermann_at_zero(ReducedFraction(3, 11), 2, cfg),
@@ -111,8 +110,6 @@ GOLDEN = {
     "estermann_alpha4@113": (("mpf", (0, 0, 0, 0)),
                              ("mpf",
                               (0, 7312096610134768956827212340661641, -106, 113))),
-    "estermann_k1@53": (("float", "0x0.0p+0"), ("float", "0x0.0p+0")),
-    "estermann_k1@113": (("mpf", (0, 0, 0, 0)), ("mpf", (0, 0, 0, 0))),
     "estermann_odd@53": (("float", "-0x1.1111111111111p-8"), ("float", "0x0.0p+0")),
     "estermann_odd@113": (("mpf", (1, 5538449982437149470432529417834769, -120, 113)),
                           ("mpf", (0, 0, 0, 0))),
