@@ -14,6 +14,7 @@ import mpmath
 import pytest
 
 from cotsum import PrecisionConfig, ReducedFraction, checks
+from cotsum.cli import main
 from cotsum.asymptotics import (
     c0_main_terms,
     estimate_C0,
@@ -215,3 +216,43 @@ def test_suite_bits_are_unchanged(suite, size, precision):
     digest = hashlib.sha256(repr(result).encode()).hexdigest()
     extra = {name: value.hex() for name, value in result[1].items()}
     assert (digest, extra) == SUITE_GOLDEN[suite, size, precision]
+
+
+# The benchmark's constants command: its three r(b) sum 600,000 binary64
+# terms, so every bit of r(b)'s term kernel at b*K up to 2*10^9 shows here.
+CONSTANTS_ARGV = "constants --K 200000 --bs 100,1000,10000"
+CONSTANTS_STDOUT = """\
+{
+  "command": "constants",
+  "diagnostics": {
+    "C0_tail_bound": 8.49162556937344e-10,
+    "r_10000_tail_bound": 2.2217339079588783e-11,
+    "r_1000_tail_bound": 2.2212010009070582e-11,
+    "r_100_tail_bound": 2.221106631949965e-11
+  },
+  "parameters": {
+    "K": 200000,
+    "bs": [
+      100,
+      1000,
+      10000
+    ],
+    "precision": 53
+  },
+  "values": {
+    "C0_estimate": -0.6303307003500811,
+    "C0_gap": 4.038251955051919e-10,
+    "closed_form_C0": -0.6303307007539063,
+    "euler_gamma": 0.5772156649015329,
+    "log_two_pi": 1.8378770664093456,
+    "r_100": 0.359751949361816,
+    "r_1000": 0.3686701221141481,
+    "r_10000": 0.3695693074712722
+  }
+}
+"""
+
+
+def test_constants_stdout_is_unchanged(capsys):
+    assert main(CONSTANTS_ARGV.split()) == 0
+    assert capsys.readouterr().out == CONSTANTS_STDOUT
