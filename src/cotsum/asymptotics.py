@@ -200,17 +200,26 @@ def _r_terms(b: int, lo: int, hi: int, mt, real):
     working precision p.  The terms come flat, built in list comprehensions
     of up to ``_R_CHUNK``; 1/(2k^2) is formed as (1/2)/k^2, which rounds to
     the same value.
+
+    In binary64 k is a float, so no product is formed as a Python int.
+    While b*k < 2^53, k*b and k*b - 1 are exact, and k*k and (b*k)*k each
+    round once, to the double that rounding the integer product gives, so
+    every term has the bits of the integer form.  Past 2^53, k*b - 1 and
+    (b*k)*k can round twice, so a term can move by about one ulp, inside the
+    K * 2^-p rounding part of :func:`r_series`'s bound.  mpmath keeps k an
+    int: its products are exact below 2^p, and an mpf k costs more.
     """
     log1p = mt.log1p
     one = real(1)
     half = one / 2
     rb = real(b)
+    k_type = float if real is float else int
     return chain.from_iterable(
         [
             k * (
-                log1p(rb / (k * b - 1)) - one / k + half / (k * k) - one / (b * k * k)
+                log1p(rb / (k * rb - one)) - one / k + half / (k * k) - one / (rb * k * k)
             )
-            for k in range(start, min(start + _R_CHUNK, hi + 1))
+            for k in map(k_type, range(start, min(start + _R_CHUNK, hi + 1)))
         ]
         for start in range(lo + 1, hi + 1, _R_CHUNK)
     )

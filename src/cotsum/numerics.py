@@ -241,10 +241,12 @@ def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
 
 
 # Fewest terms of work in a child for which its fork pays.  On a 2-vCPU Xeon
-# the fork, pipe and reaping cost about what 5k binary64 r(b) terms do
-# (K = 8000: 4.4 ms in one process, 5.2 ms with the child; K = 12000: 6.5 and
-# 6.2 ms); 2^13 leaves room for a larger process, whose fork copies more page
-# tables.  mpmath's terms cost more, so the child pays there too.
+# the fork, pipe and reaping cost about 1.9 ms, what 8k binary64 r(b) terms
+# do (r_series(100, K), medians of 61 alternated runs: K = 8000: 1.9 ms in one
+# process, 2.9-3.0 ms with the child; K = 12000: 2.7-2.8 and 3.2-3.7 ms;
+# K = 16384: level; K = 24576: 5.5 and 4.6-4.8 ms), so r(b)'s child pays from
+# K/2 = 2^13 up.  The identity suites fork at the same 2^13 terms.  mpmath's
+# terms cost more, so the child pays there too.
 _CHILD_MIN_TERMS = 1 << 13
 
 

@@ -243,7 +243,8 @@ def test_r_series_first_term_and_partial_oracle(cfg):
 
 
 def _r_terms_one_by_one(b, lo, hi, mt, real):
-    # the term expression as it stood before the terms were built in chunks
+    # the term expression as it stood before the terms were built in chunks,
+    # every product formed from an int k
     for k in range(lo + 1, hi + 1):
         kk = k * k
         yield k * (
@@ -283,6 +284,40 @@ def test_r_checkpoints_match_the_term_by_term_sums_bitwise(b, precision, monkeyp
     cfg = PrecisionConfig(working_precision=precision)
     for K in (100, 8 * chunk - 8, 8 * chunk, 8 * chunk + 8):
         assert _r_checkpoints(b, K, cfg) == _checkpoints_one_by_one(b, K, precision)
+
+
+# The first k with k*k past 2^53, so k*k is no longer an exact double
+_K_SQUARED_PAST_2_53 = 94_906_266
+
+
+def _r_term_windows(b, width):
+    # windows (lo, hi] of k: from k = 1, across _K_SQUARED_PAST_2_53, and up
+    # to the last k with b*k < 2^53; a window past that last k is left out
+    last = (2**53 - 1) // b
+    windows = [
+        (0, width),
+        (_K_SQUARED_PAST_2_53 - width // 2, _K_SQUARED_PAST_2_53 + width // 2),
+        (last - width, last),
+    ]
+    return [(lo, hi) for lo, hi in windows if hi <= last]
+
+
+@pytest.mark.parametrize("b", [2, 3, 100, 10**4, 10**6, 2**40])
+def test_r_terms_have_the_bits_of_the_int_k_form(b):
+    # While b*k < 2^53 the float k forms every product of a term with the
+    # rounding of the int form, also once k*k is past 2^53
+    for lo, hi in _r_term_windows(b, 2000):
+        got = [x.hex() for x in _r_terms(b, lo, hi, math, float)]
+        assert got == [x.hex() for x in _r_terms_one_by_one(b, lo, hi, math, float)]
+
+
+def test_r_terms_have_the_bits_of_the_int_k_form_at_113_bits(cfg_ext):
+    for b in (3, 10**6):
+        for lo, hi in _r_term_windows(b, 64):
+            with _context(cfg_ext) as (mt, pi, real):
+                got = [x._mpf_ for x in _r_terms(b, lo, hi, mt, real)]
+                want = [x._mpf_ for x in _r_terms_one_by_one(b, lo, hi, mt, real)]
+            assert got == want
 
 
 def _forks(monkeypatch):
@@ -427,6 +462,17 @@ def test_r_series_tail_bound_shrinks_with_K(cfg, cfg_ext):
         for K in (10**3, 10**4, 10**5):
             est = r_series(b, K, cfg)
             assert abs(est.value - ref) <= est.tail_bound
+
+
+@pytest.mark.parametrize("b", [3**33, 10**17])
+def test_r_series_bound_holds_past_b_k_2_53(b, cfg, cfg_ext):
+    # b*k passes 2^53 from k = 2 (3^33) or from k = 1 (10^17), where k*b - 1
+    # and (b*k)*k can round twice: a term can move by about one ulp, which the
+    # K * 2^-53 rounding part of the bound covers
+    ref = r_closed_form(b, cfg_ext)
+    for K in (10**3, 10**4):
+        est = r_series(b, K, cfg)
+        assert abs(est.value - ref) <= est.tail_bound
 
 
 def test_r_series_rate_in_b(cfg):

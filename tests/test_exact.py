@@ -54,11 +54,6 @@ def test_c0_hand_values(cfg):
     )
 
 
-def test_c0_rejects_integer_argument(cfg):
-    with pytest.raises(PreconditionError):
-        c0(ReducedFraction(1, 1), cfg)
-
-
 def test_c0_antisymmetry_exhaustive_small(cfg):
     # c0((k-h)/k) = -c0(h/k) bitwise: the residues of k-h are k - r_m, whose
     # folded cotangents, and so terms, are exact negations
