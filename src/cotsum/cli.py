@@ -38,8 +38,11 @@ from .numerics import (
 
 __all__ = ["build_parser", "main", "entrypoint"]
 
-# About 20 s of c0 at the ~12 ns per term measured on a 2-vCPU Xeon; the
-# doubling ladder 256..2^30 (1,073,741,673 terms) fits, 256..2^31 does not.
+# Counted as (b-1)//2 terms a row; c0 sums about 11 ns a term on a 2-vCPU
+# Xeon, so about 17 s for a ladder with no doubling row.  A row that doubles
+# the one before sums half its count: 256..2^28 took 1.3-1.9 s (2.7-3.2 s
+# summing every term), so the doubling ladder 256..2^30 (1,073,741,673
+# terms counted, 536,870,911 summed) fits in about 6 s; 256..2^31 does not.
 DEFAULT_RESIDUAL_BUDGET = 15 * 10**8
 # Most rows an integer ladder, or multiplications a geometric one, may take;
 # either would otherwise take ages or all memory before the budget is checked.

@@ -91,11 +91,33 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
     h, k = frac.h, frac.k
     _check_c0_k(k)
     if not cfg.extended:
-        parts = []
-        for terms in _half_row_chunks(h, k):
-            parts += _exact_parts(terms)
-        return sum_strategy(parts, cfg)
+        return sum_strategy(_row_parts(h, k), cfg)
     return _half_row_sum(h, k, _cot_derivative_coeffs(0), cfg)
+
+
+def _c0_ladder(bs, cfg: PrecisionConfig):
+    """Yield c0(1/b) for each b of the increasing ``bs``, with c0's bits.
+
+    In binary64, when b is twice the b before it, the even-r terms of row b
+    are bit for bit the terms of the row before (see
+    :func:`_half_row_chunks`), so only the odd r of row b are summed, and
+    the exact parts of the row before are added to theirs.  One fsum of the
+    parts rounds once, as :func:`c0`'s does.  Only the parts of the row
+    before are held, a few floats per chunk.  Above 53 bits every row is
+    :func:`c0`.  The caller checks each b against :func:`c0`'s cap.
+    """
+    if cfg.extended:
+        for b in bs:
+            yield c0(ReducedFraction(1, b), cfg)
+        return
+    prev_b, prev_parts = 0, []
+    for b in bs:
+        if b == 2 * prev_b:
+            parts = _row_parts(1, b, odd_only=True) + prev_parts
+        else:
+            parts = _row_parts(1, b)
+        yield sum_strategy(parts, cfg)
+        prev_b, prev_parts = b, parts
 
 
 def _check_c0_k(k: int) -> None:
@@ -104,7 +126,15 @@ def _check_c0_k(k: int) -> None:
         raise CapacityError(f"c0 requires k < 2^32, got k = {k}")
 
 
-def _half_row_chunks(h: int, k: int):
+def _row_parts(h: int, k: int, odd_only: bool = False) -> list[float]:
+    """Floats whose exact sum is that of :func:`_half_row_chunks`' terms."""
+    parts = []
+    for terms in _half_row_chunks(h, k, odd_only):
+        parts += _exact_parts(terms)
+    return parts
+
+
+def _half_row_chunks(h: int, k: int, odd_only: bool = False):
     """Binary64 terms of c0's half-row sum, as float64 arrays of up to _C0_CHUNK.
 
     The terms are indexed by the folded residue r = 1..(k-1)//2, not by m:
@@ -119,20 +149,33 @@ def _half_row_chunks(h: int, k: int):
     tan(pi*(k - 2r)/(2k)); then times the weight, over k.  No term needs a
     fold, a sign or a mask.  With h = 1, m_r = r, so the weight k - 2r is
     also the far angle's numerator.  Every integer is exact in float64.
+    With ``odd_only`` only the terms of odd r come, in the same order.
+
+    With h = 1, the term of row 2k at r = 2r' is bit for bit the term of
+    row k at r'.  Near angle: 2r'*pi rounds to twice r'*pi, and that over
+    2k is the double r'*pi/k.  Far angle: (2k - 4r')*pi/(4k) is likewise
+    the double (k - 2r')*pi/(2k).  So tan and reciprocal see the same
+    inputs, and the weight 2k - 4r' is twice k - 2r', so the product is
+    twice row k's and over 2k gives row k's double.  The ranges match:
+    2r' <= (2k)//4 iff r' <= k//4, and 2r' <= (2k-1)//2 iff r' <= (k-1)//2.
+    Scaling by two is exact short of overflow or subnormals, which
+    k < 2^32 reaches neither.  So row 2k's even-r terms are row k's terms,
+    and its odd-r terms are all that is new.
     """
     # Imported here: numpy's import would cost every other command ~0.1 s.
     import numpy as np
 
     inv = pow(h, -1, k)
+    step = 2 if odd_only else 1
     quarter, half = k // 4, (k - 1) // 2
     for near, lo, hi in ((True, 1, quarter + 1), (False, quarter + 1, half + 1)):
-        for start in range(lo, hi, _C0_CHUNK):
-            stop = min(start + _C0_CHUNK, hi)
-            # k - 2r for r = start..stop-1: the far angle's numerator and,
-            # with h = 1, the weight
-            w = np.arange(k - 2 * start, k - 2 * stop, -2, dtype=np.float64)
+        for start in range(lo | 1 if odd_only else lo, hi, step * _C0_CHUNK):
+            stop = min(start + step * _C0_CHUNK, hi)
+            # k - 2r for r = start, start + step, .. < stop: the far angle's
+            # numerator and, with h = 1, the weight
+            w = np.arange(k - 2 * start, k - 2 * stop, -2 * step, dtype=np.float64)
             if near:
-                t = np.arange(start, stop, dtype=np.float64)
+                t = np.arange(start, stop, step, dtype=np.float64)
                 t *= np.pi
                 t /= k
                 np.tan(t, out=t)
@@ -142,7 +185,7 @@ def _half_row_chunks(h: int, k: int):
                 t /= 2 * k
                 np.tan(t, out=t)
             if inv != 1:
-                w = np.arange(start, stop, dtype=np.int64)
+                w = np.arange(start, stop, step, dtype=np.int64)
                 w *= inv
                 w %= k
                 w *= -2

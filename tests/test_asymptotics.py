@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -612,14 +613,34 @@ def test_residual_scan_checks_the_c0_cap_before_the_first_row(cfg, monkeypatch):
     # error names the first b past the cap, as c0 itself would
     calls = []
 
-    def counted(frac, cfg):
-        calls.append(frac.k)
-        return 0.0
+    def counted(bs, cfg):
+        for b in bs:
+            calls.append(b)
+            yield 0.0
 
-    monkeypatch.setattr(asymptotics, "c0", counted)
+    monkeypatch.setattr(asymptotics, "_c0_ladder", counted)
     with pytest.raises(CapacityError, match=r"c0 requires k < 2\^32, got k = 4294967296"):
         residual_scan([3, 2**31, 2**32, 2**33], cfg)
     assert calls == []
+
+
+def test_residual_scan_holds_one_previous_row(cfg):
+    # a doubling row reuses only the half row's exact parts, a few floats a
+    # chunk, so the peak is one chunk's arrays (0.63 MiB measured); keeping
+    # the terms of the half row 2^19 instead would take 2 MiB.  numpy is
+    # imported and a first scan run before tracing starts, so neither the
+    # import nor first-call setup is counted.
+    import numpy  # noqa: F401
+
+    bs = [2**j for j in range(8, 21)]
+    residual_scan(bs[:3], cfg)
+    tracemalloc.start()
+    try:
+        residual_scan(bs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_residual_scan_small_ladder_is_flat(cfg):

@@ -440,8 +440,9 @@ def test_residuals_budget_prices_the_terms_c0_sums(capsys, tmp_path):
 
 
 def test_residuals_default_budget_admits_the_2_to_30_ladder():
-    # 256..2^30 doubling costs 1,073,741,673 terms, 33 s measured on a 2-vCPU
-    # Xeon; the default admits it without --budget, and refuses 2^31
+    # 256..2^30 doubling counts 1,073,741,673 terms and sums half of them,
+    # about 6 s on a 2-vCPU Xeon at the rate measured on 256..2^28 (1.3-1.9 s);
+    # the default admits it without --budget, and refuses 2^31
     from cotsum import cli
 
     def cost(b_max):

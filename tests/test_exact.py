@@ -26,9 +26,11 @@ from cotsum import (
     frac_via_cot_sin,
     sum_strategy,
 )
+from cotsum.asymptotics import residual_scan
 from cotsum.exact import (
     _C0_CHUNK,
     _ROW_COPIES,
+    _c0_ladder,
     _cot_derivative_coeffs,
     _gathered,
     _half_row_chunks,
@@ -173,6 +175,63 @@ def test_half_row_chunks_match_the_reference_bitwise(cfg):
         assert np.array_equal(got_bits, want_bits), (h, k)
         terms = [v for chunk in want for v in chunk.tolist()]
         assert c0(ReducedFraction(h, k), cfg).hex() == math.fsum(terms).hex(), (h, k)
+
+
+def _row_bits(h, k, odd_only=False):
+    chunks = list(_half_row_chunks(h, k, odd_only))
+    for chunk in chunks:
+        assert chunk.dtype == np.float64 and 0 < chunk.size <= _C0_CHUNK, (h, k)
+    return np.concatenate([np.empty(0), *chunks]).view(np.int64)
+
+
+def test_even_r_terms_of_row_2b_are_row_b_terms():
+    # the identity _c0_ladder's reuse rests on: row 2b's term at r = 2r' is
+    # row b's term at r', bit for bit (h = 1); the odd-only chunks are the
+    # odd-r terms of the all-r chunks, in order.  b = 2^16 + 1 and 3*2^18
+    # put row b's near/far boundary and chunk ends off the powers of two.
+    for b in [*range(2, 601), 2**16 + 1, 3 * 2**18, 2**21]:
+        row_2b = _row_bits(1, 2 * b)
+        assert np.array_equal(row_2b[1::2], _row_bits(1, b)), b
+        assert np.array_equal(_row_bits(1, 2 * b, odd_only=True), row_2b[0::2]), b
+
+
+def test_odd_only_chunks_are_the_odd_r_terms_for_any_h():
+    rng = random.Random(2026)
+    for k in [3, 4, 5, 7, 9, 2 * _C0_CHUNK + 3, 4 * _C0_CHUNK + 2, 8 * _C0_CHUNK + 5]:
+        for h in (1, k - 1, rng.randrange(1, k)):
+            while gcd(h, k) != 1:
+                h = h % (k - 1) + 1
+            assert np.array_equal(_row_bits(h, k, odd_only=True), _row_bits(h, k)[0::2])
+
+
+@pytest.mark.parametrize(
+    "bs",
+    [
+        [2**j for j in range(1, 23)],
+        [3 * 2**j for j in range(20)],
+        [5 * 2**j for j in range(20)],
+        list(range(2, 401)),
+        [3**j for j in range(1, 14)],
+        [2, 3, 6, 12, 13, 26, 100, 200, 400, 401, 802],
+    ],
+    ids=["doubling", "3*2^j", "5*2^j", "integers", "powers-of-3", "mixed"],
+)
+def test_c0_ladder_equals_c0_row_by_row(cfg, cfg_ext, bs):
+    # reusing the half row's parts keeps every row's bits
+    assert [v.hex() for v in _c0_ladder(bs, cfg)] == [
+        c0(ReducedFraction(1, b), cfg).hex() for b in bs
+    ]
+    small = [b for b in bs if b <= 200][:6]
+    assert list(_c0_ladder(small, cfg_ext)) == [
+        c0(ReducedFraction(1, b), cfg_ext) for b in small
+    ]
+
+
+def test_residual_scan_reproduces_the_pinned_c0_bits(cfg):
+    records, _ = residual_scan([2**j for j in range(8, 23)], cfg)
+    assert [(1, r.b) for r in records] == sorted(C0_PINNED_HEX)[:15]
+    for r in records:
+        assert r.c0_exact.hex() == C0_PINNED_HEX[1, r.b], r.b
 
 
 def test_np_tan_within_one_ulp_on_the_kernels_arguments():
