@@ -14,7 +14,6 @@ error term from one growing like log(b).
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import NamedTuple
 
 from .exact import _c0_ladder, _check_c0_k
@@ -55,11 +54,6 @@ __all__ = [
 # block, worth exactly 2b - 2 + o(1) in S(L;b), i.e. 1 per unit of 2b), so
 # the extrapolated limit of r carries a structural offset of exactly 1.
 R_SERIES_OFFSET = 1.0
-
-# Terms of r(b) built per list comprehension: a generator's per-term Python
-# costs about a third more, and a list of 2^12 floats holds about 0.13 MB.
-_R_CHUNK = 1 << 12
-
 
 class ResidualRecord(NamedTuple):
     """One row of a residual scan: delta = c0_exact - c0_main_terms at b."""
@@ -196,9 +190,8 @@ def _r_terms(b: int, lo: int, hi: int, mt, real):
     The ratio ((k+1)b-1)/(kb-1) is 1 + b/(kb-1), so the log is taken by
     ``log1p``.  The bracket is still O(1/k^3) against a log of O(1/k), so
     each term carries an absolute rounding error of a few units of 2^-p at
-    working precision p.  The terms come flat, built in list comprehensions
-    of up to ``_R_CHUNK``; 1/(2k^2) is formed as (1/2)/k^2, which rounds to
-    the same value.
+    working precision p.  The terms come from one generator; 1/(2k^2) is
+    formed as (1/2)/k^2, which rounds to the same value.
 
     In binary64 k is a float, so no product is formed as a Python int.
     While b*k < 2^53, k*b and k*b - 1 are exact, and k*k and (b*k)*k each
@@ -213,14 +206,9 @@ def _r_terms(b: int, lo: int, hi: int, mt, real):
     half = one / 2
     rb = real(b)
     k_type = float if real is float else int
-    return chain.from_iterable(
-        [
-            k * (
-                log1p(rb / (k * rb - one)) - one / k + half / (k * k) - one / (rb * k * k)
-            )
-            for k in map(k_type, range(start, min(start + _R_CHUNK, hi + 1)))
-        ]
-        for start in range(lo + 1, hi + 1, _R_CHUNK)
+    return (
+        k * (log1p(rb / (k * rb - one)) - one / k + half / (k * k) - one / (rb * k * k))
+        for k in map(k_type, range(lo + 1, hi + 1))
     )
 
 

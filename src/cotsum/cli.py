@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bs",
         type=str,
         default="100,1000,10000",
-        help="comma-separated b values for r(b) and the extrapolation",
+        help="strictly increasing b >= 2, comma-separated, for r(b) and its limit",
     )
     _add_common_flags(p_const)
 
@@ -325,11 +325,7 @@ def _cmd_constants(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
         bs = [int(part) for part in args.bs.split(",") if part.strip()]
     except ValueError as err:
         raise PreconditionError(f"could not parse --bs {args.bs!r}") from err
-    if not bs or any(b < 2 for b in bs):
-        raise PreconditionError(f"every b must be an integer >= 2, got {args.bs!r}")
-    # estimate_C0 checks three or more b before it sums any r(b).
-    if len(bs) < 3 and len(set(bs)) != len(bs):
-        raise PreconditionError(f"every b must be distinct, got {args.bs!r}")
+    asymptotics._check_bs(bs, 1)
     gamma = euler_gamma(cfg)
     l2p = log_two_pi(cfg)
     closed_form = float(asymptotics._closed_form_C0(cfg))

@@ -14,6 +14,7 @@ arithmetic; floating point only enters once angles are reduced.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
@@ -25,7 +26,6 @@ from .numerics import (
     PreconditionError,
     ReducedFraction,
     _context,
-    _cot_kernel,
     _exact_parts,
     bernoulli,
     sum_strategy,
@@ -69,22 +69,18 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """The cotangent sum c0(h/k) = -sum_{m=1}^{k-1} (m/k) cot(pi*m*h/k).
 
     The terms m and k - m share one cotangent up to sign, so the sum is taken
-    over half the row:
-
-        c0(h/k) = sum_{m=1}^{(k-1)//2} cot(pi*r_m/k) * (k - 2m)/k,  r_m = m*h mod k,
-
-    each cotangent by :func:`_cot_kernel`'s folding and quadrant choice, in
-    one correctly rounded sum (:func:`_half_row_sum` with P(u) = u in
-    extended precision).  In binary64 the same terms are built in the order
-    of the folded residue r instead (:func:`_half_row_chunks`):
+    over half the row, indexed by the folded residue r (see
+    :func:`_half_row_chunks`):
 
         c0(h/k) = sum_{r=1}^{(k-1)//2} cot(pi*r/k) * (k - 2*m_r)/k,  m_r = r*h^-1 mod k,
 
-    and each numpy chunk of terms is reduced without error to a few floats
-    with the same exact sum (:func:`_exact_parts`), so that sum rounds once,
-    as one fsum of the terms in any order would: the order of the terms
-    cannot change the bits.  No row is built: cost O(k) time, and memory
-    bounded by one chunk of terms.  Because the fold keeps the sign exactly,
+    in one correctly rounded sum.  In binary64 each numpy chunk of terms is
+    reduced without error to a few floats with the same exact sum
+    (:func:`_exact_parts`), so that sum rounds once, as one fsum of the
+    terms in any order would: the order of the terms cannot change the bits.
+    In extended precision the terms stream through :func:`_half_row_sum`
+    with P(u) = u.  No row is built: cost O(k) time, and memory bounded by
+    one chunk of terms.  Because the fold keeps the sign exactly,
     c0((k-h)/k) is bitwise -c0(h/k).  k must be below 2^32
     (:class:`CapacityError`).
     """
@@ -195,6 +191,25 @@ def _half_row_chunks(h: int, k: int, odd_only: bool = False):
             yield t
 
 
+def _cot_kernel(r: int, k: int, mt, pi):
+    """cot(pi*r/k) for 1 <= r <= k-1, inside an already-entered context.
+
+    The quadrant is chosen from the exact integers r, k so that the tangent is
+    only ever evaluated on (0, pi/4]; together with the exact reduction this
+    keeps the relative error at a few ulps even when cot is large or near its
+    zero crossing.  For r > k/2 it is exactly -cot(pi*(k-r)/k); the half-row
+    sums here pass only r <= k/2.
+    """
+    two_r = 2 * r
+    if two_r == k:
+        return 0.0 if mt is math else mt.mpf(0)
+    if two_r > k:
+        return -_cot_kernel(k - r, k, mt, pi)
+    if 4 * r <= k:
+        return 1 / mt.tan(pi * r / k)
+    return mt.tan(pi * (k - two_r) / (2 * k))
+
+
 @lru_cache(maxsize=None)
 def _cot_derivative_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients (low order first) of P_n with cot^(n) = P_n(cot).
@@ -220,15 +235,19 @@ def _horner(coeffs: tuple[int, ...], u):
 
 
 def _half_row_sum(h: int, k: int, coeffs: tuple[int, ...], cfg: PrecisionConfig):
-    """sum_{m=1}^{(k-1)//2} P(cot(pi*r_m/k)) * (k - 2m)/k with r_m = m*h mod k.
+    """sum_{r=1}^{(k-1)//2} P(cot(pi*r/k)) * (k - 2*m_r)/k with m_r = r*h^-1 mod k.
 
-    P has the integer ``coeffs``; one correctly rounded sum, no row kept.
+    P has the integer ``coeffs`` and is odd, so, as in
+    :func:`_half_row_chunks`, these are the half row's m-indexed terms
+    P(cot(pi*m*h/k)) * (k - 2m)/k, bit for bit, taken in r order.
+    One correctly rounded sum, no row kept.
     """
+    inv = pow(h, -1, k)
     with _context(cfg) as (mt, pi, real):
         return sum_strategy(
             (
-                _horner(coeffs, _cot_kernel(m * h % k, k, mt, pi)) * (k - 2 * m) / k
-                for m in range(1, (k - 1) // 2 + 1)
+                _horner(coeffs, _cot_kernel(r, k, mt, pi)) * (k - 2 * (r * inv % k)) / k
+                for r in range(1, (k - 1) // 2 + 1)
             ),
             cfg,
         )
@@ -243,8 +262,9 @@ def estermann_at_zero(
     even alpha: (-i/2)^(alpha+1) sum_{m=1}^{k-1} (m/k) cot^(alpha)(pi*m*h/k)
                 + 1/4 when alpha = 0, where the sum is -c0(h/k).
 
-    For even alpha >= 2 the sum is :func:`_half_row_sum` with P_alpha, the
-    polynomial in cot of cot^(alpha), like :func:`c0`'s with no row kept.
+    For even alpha the sum is the half-row sum with P_alpha, the polynomial
+    in cot of cot^(alpha): :func:`c0` when alpha = 0, else
+    :func:`_half_row_sum`, in the same terms and order; no row is kept.
     """
     if alpha < 0:
         raise PreconditionError(f"alpha must be >= 0, got {alpha}")
@@ -258,21 +278,21 @@ def estermann_at_zero(
         raise CapacityError(
             f"even alpha {alpha} exceeds derivative maximum {MAX_DERIVATIVE_ORDER}"
         )
-    if alpha == 0:
-        # -(i/2) sum (m/k) cot(pi*m*h/k) = (i/2) c0(h/k), halved exactly.
-        with _context(cfg) as (mt, pi, real):
-            return EstermannValue(real_part=real(0.25), imag_part=c0(frac, cfg) / 2)
-    # (-i/2)^(alpha+1) with alpha+1 odd is purely imaginary: -i/2^(alpha+1)
-    # when alpha = 0 (mod 4) and +i/2^(alpha+1) when alpha = 2 (mod 4).
+    # (-i/2)^(alpha+1) with alpha+1 odd is imaginary: -i/2^(alpha+1) when
+    # alpha = 0 (mod 4) and +i/2^(alpha+1) when alpha = 2 (mod 4).
     sign = -1 if alpha % 4 == 0 else 1
     # P_alpha is odd and cot(pi*(k-m)*h/k) = -cot(pi*m*h/k), so the terms m
     # and k - m combine into P(cot_m) * (2m - k)/k: the sum is -s, and the
     # value -sign * s / 2^(alpha+1), taken as 0 - sign * s so that an empty
     # half row (k = 2) gives +0.0 for every alpha.
-    s = _half_row_sum(frac.h, frac.k, _cot_derivative_coeffs(alpha), cfg)
+    if alpha == 0:
+        s = c0(frac, cfg)
+    else:
+        s = _half_row_sum(frac.h, frac.k, _cot_derivative_coeffs(alpha), cfg)
     with _context(cfg) as (mt, pi, real):
         return EstermannValue(
-            real_part=real(0), imag_part=(0 - sign * s) / 2 ** (alpha + 1)
+            real_part=real(0.25 if alpha == 0 else 0),
+            imag_part=(0 - sign * s) / 2 ** (alpha + 1),
         )
 
 

@@ -1,10 +1,9 @@
 """Shared numerical kernel.
 
 Provides the precision configuration used across the package, exact-rational
-Bernoulli numbers, the cotangent kernel at rational multiples of pi (the rows
-built from it are cached in ``exact``), one correctly rounded sum that holds
-one chunk of terms at a time, and an error-free reduction of a numpy array to
-a few floats with the same exact sum.
+Bernoulli numbers, one correctly rounded sum that holds one chunk of terms at
+a time, and an error-free reduction of a numpy array to a few floats with the
+same exact sum.
 
 Two precision modes are supported: binary64 (the default, 53-bit significand,
 evaluated with the ``math`` module) and an extended mode (> 53 bits, evaluated
@@ -191,24 +190,6 @@ def bernoulli(m: int) -> Fraction:
     if m > _BERNOULLI_CAP:
         raise CapacityError(f"Bernoulli index {m} exceeds maximum {_BERNOULLI_CAP}")
     return _bernoulli_exact(m)
-
-
-def _cot_kernel(r: int, k: int, mt, pi):
-    """cot(pi*r/k) for 1 <= r <= k-1, inside an already-entered context.
-
-    The quadrant is chosen from the exact integers r, k so that the tangent is
-    only ever evaluated on (0, pi/4]; together with the exact reduction this
-    keeps the relative error at a few ulps even when cot is large or near its
-    zero crossing.
-    """
-    two_r = 2 * r
-    if two_r == k:
-        return 0.0 if mt is math else mt.mpf(0)
-    if two_r > k:
-        return -_cot_kernel(k - r, k, mt, pi)
-    if 4 * r <= k:
-        return 1 / mt.tan(pi * r / k)
-    return mt.tan(pi * (k - two_r) / (2 * k))
 
 
 # Terms per exact partial sum of the extended-precision sum_strategy.

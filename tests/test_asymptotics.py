@@ -244,8 +244,7 @@ def test_r_series_first_term_and_partial_oracle(cfg):
 
 
 def _r_terms_one_by_one(b, lo, hi, mt, real):
-    # the term expression as it stood before the terms were built in chunks,
-    # every product formed from an int k
+    # the term expression with every product formed from an int k
     for k in range(lo + 1, hi + 1):
         kk = k * k
         yield k * (
@@ -274,14 +273,12 @@ def _checkpoints_one_by_one(b, K, precision):
 
 @pytest.mark.parametrize("precision", [53, 113])
 @pytest.mark.parametrize("b", [2, 1000])
-def test_r_checkpoints_match_the_term_by_term_sums_bitwise(b, precision, monkeypatch):
-    # K = 8C puts every checkpoint on a multiple of the chunk C; K = 8C -+ 8
-    # puts K/8 one term before or after one and the later checkpoints a few
-    # terms off; K = 100 fits in one chunk of the real size.  mpmath is slow,
-    # so at 113 bits the chunks shrink to 2^6 terms.
-    if precision > 53:
-        monkeypatch.setattr(asymptotics, "_R_CHUNK", 1 << 6)
-    chunk = asymptotics._R_CHUNK
+def test_r_checkpoints_match_the_term_by_term_sums_bitwise(b, precision):
+    # K = 8C puts every checkpoint on a multiple of C, K = 8C -+ 8 puts K/8
+    # one term before or after one and the later checkpoints a few terms off,
+    # and K = 100 is small; mpmath is slow, so C is 2^12 at 53 bits and 2^6
+    # at 113
+    chunk = 1 << 12 if precision == 53 else 1 << 6
     cfg = PrecisionConfig(working_precision=precision)
     for K in (100, 8 * chunk - 8, 8 * chunk, 8 * chunk + 8):
         assert _r_checkpoints(b, K, cfg) == _checkpoints_one_by_one(b, K, precision)
@@ -352,10 +349,8 @@ def _serial(b, K, cfg, monkeypatch):
 def test_r_series_has_the_same_bits_with_and_without_the_child(precision, monkeypatch):
     # The upper half summed in a forked child (2 CPUs) and in this process
     # (1 CPU), with K/2 one term below the break-even, at it, and one above
-    # it with K odd.  mpmath is slow, so at 113 bits the break-even and the
-    # chunks shrink.
+    # it with K odd.  mpmath is slow, so at 113 bits the break-even shrinks.
     if precision > 53:
-        monkeypatch.setattr(asymptotics, "_R_CHUNK", 1 << 6)
         monkeypatch.setattr(numerics, "_CHILD_MIN_TERMS", 1 << 7)
     least = numerics._CHILD_MIN_TERMS
     cfg = PrecisionConfig(working_precision=precision)

@@ -587,7 +587,7 @@ def test_constants_checks_bs_before_summing(capsys, monkeypatch):
     monkeypatch.setattr(
         cotsum.asymptotics, "r_series", lambda *args: summed.append(args)
     )
-    for bs in ("1000,100,10", "100,100,1000"):
+    for bs in ("1000,100,10", "100,100,1000", "1000,100"):
         code, out, err = run_cli(capsys, ["constants", "--K", "100000", "--bs", bs])
         assert code == 2
         assert out == ""
@@ -605,7 +605,7 @@ def test_constants_rejects_a_repeated_b_before_summing(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "distinct" in err
+        assert "strictly increasing" in err
     assert summed == []
 
 

@@ -32,12 +32,14 @@ from cotsum.exact import (
     _ROW_COPIES,
     _c0_ladder,
     _cot_derivative_coeffs,
+    _cot_kernel,
     _gathered,
     _half_row_chunks,
+    _half_row_sum,
     _horner,
     _unit_row,
 )
-from cotsum.numerics import _cot_kernel
+from cotsum.numerics import _context
 
 ULP = 2.0**-52
 
@@ -369,6 +371,40 @@ def test_estermann_alpha_validation(cfg):
         estermann_at_zero(ReducedFraction(1, 3), -1, cfg)
     with pytest.raises(CapacityError):
         estermann_at_zero(ReducedFraction(1, 3), 18, cfg)
+
+
+def _half_row_sum_by_m(h, k, coeffs, cfg):
+    # the half row in m order, r_m = m*h mod k folded by the kernel:
+    # sum_{m=1}^{(k-1)//2} P(cot(pi*r_m/k)) * (k - 2m)/k
+    with _context(cfg) as (mt, pi, real):
+        return sum_strategy(
+            (
+                _horner(coeffs, _cot_kernel(m * h % k, k, mt, pi)) * (k - 2 * m) / k
+                for m in range(1, (k - 1) // 2 + 1)
+            ),
+            cfg,
+        )
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x._mpf_
+
+
+@pytest.mark.parametrize("h, k", [(1, 8193), (3, 10007), (1, 16384)])
+def test_c0_at_113_bits_has_the_bits_of_the_m_ordered_half_row(h, k, cfg_ext):
+    # k past sum_strategy's 4096-term chunks, so the partials differ by order
+    want = _half_row_sum_by_m(h, k, _cot_derivative_coeffs(0), cfg_ext)
+    assert _bits(c0(ReducedFraction(h, k), cfg_ext)) == _bits(want)
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+@pytest.mark.parametrize("alpha", [2, 4])
+def test_even_alpha_half_row_has_the_bits_of_the_m_ordered_sum(alpha, precision):
+    cfg = PrecisionConfig(precision)
+    coeffs = _cot_derivative_coeffs(alpha)
+    for h, k in [(1, 7), (2, 7), (5, 12), (3, 64), (7, 101), (123, 499)]:
+        want = _half_row_sum_by_m(h, k, coeffs, cfg)
+        assert _bits(_half_row_sum(h, k, coeffs, cfg)) == _bits(want), (h, k)
 
 
 # ------------------------------------------------ derivative polynomials

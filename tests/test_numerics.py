@@ -26,11 +26,10 @@ from cotsum import (
     sum_strategy,
 )
 from cotsum import numerics
-from cotsum.exact import _unit_row
+from cotsum.exact import _cot_kernel, _unit_row
 from cotsum.numerics import (
     _MP_LOCK,
     _context,
-    _cot_kernel,
     _exact_parts,
     _in_child,
 )
