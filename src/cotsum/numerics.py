@@ -247,26 +247,34 @@ def _in_child(child_terms: int, fn, *args):
     returns the child's value, read through a pipe.  fn runs in this process
     instead, when ``result()`` is called, if ``child_terms``, the caller's
     estimate of fn's work in terms, is below ``_CHILD_MIN_TERMS``,
-    ``os.fork`` is missing, fewer than 2 CPUs are usable, or another thread
-    is alive (a fork would copy any lock that thread holds, ``_MP_LOCK``
-    included).  If the child delivers no complete result, ``result()``
-    computes fn(*args) here, so an exception in fn surfaces in this process.
+    ``os.fork`` is missing, fewer than 2 CPUs are usable, another thread is
+    alive (a fork would copy any lock that thread holds, ``_MP_LOCK``
+    included), or ``os.pipe`` or ``os.fork`` fails.  If the child delivers
+    no complete result, ``result()`` computes fn(*args) here, so an
+    exception in fn surfaces in this process.
     fn must be a pure function of its arguments: then every path gives the
     same bits.  On leaving the block the child is killed and reaped, also
     when the block raises.  Enter the block outside any ``_context`` block.
     """
-    if not (
+    pid = None
+    if (
         child_terms >= _CHILD_MIN_TERMS
         and hasattr(os, "fork")
         and threading.active_count() == 1
         and _cpus() >= 2
     ):
+        import pickle
+
+        fds = ()
+        try:
+            fds = read_fd, write_fd = os.pipe()
+            pid = os.fork()
+        except OSError:  # EAGAIN, ENOMEM or EMFILE: no child, fn runs here
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
         yield lambda: fn(*args)
         return
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
     if pid == 0:
         try:
             os.close(read_fd)

@@ -1,5 +1,6 @@
 """Asymptotics tests: block expansion, correction series, constant, residuals."""
 
+import errno
 import math
 import os
 import threading
@@ -414,6 +415,50 @@ def test_a_child_that_writes_nothing_leaves_the_bits_alone(cfg, monkeypatch):
     assert r_series(100, K, cfg) == expected
     assert len(pids) == 1
     _assert_reaped(pids)
+
+
+def _refuse_fork():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def _refuse_pipe():
+    raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+
+def _open_fds():
+    """This process's open fds, where /proc lists them; else None."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("refused", ["pipe", "fork"])
+def test_a_refused_fork_keeps_the_upper_half_in_process(refused, cfg, monkeypatch):
+    # the OS refuses the pipe or the child: no error, no fd left open, and
+    # the bits of the one-CPU path
+    K = 2 * numerics._CHILD_MIN_TERMS
+    expected = _serial(100, K, cfg, monkeypatch)
+    pipes = []
+    pipe = os.pipe
+
+    def recording_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    if refused == "pipe":
+        monkeypatch.setattr(os, "pipe", _refuse_pipe)
+    else:
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    fds = _open_fds()
+    assert r_series(100, K, cfg) == expected
+    assert _open_fds() == fds
+    assert len(pipes) == (1 if refused == "fork" else 0)
+    for fd in (fd for pair in pipes for fd in pair):
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
 
 
 def test_a_live_thread_keeps_the_upper_half_in_process(cfg, monkeypatch):

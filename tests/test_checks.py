@@ -8,9 +8,10 @@ as with one CPU, where every row is computed here.
 import os
 
 import pytest
-from test_asymptotics import _assert_reaped, _forks
+from test_asymptotics import _assert_reaped, _forks, _open_fds, _refuse_fork
 
 from cotsum import PrecisionConfig, checks, numerics
+from cotsum.cli import main
 
 # Both suites' child share first reaches the 2^13-term break-even at size 29:
 # floor 2*sum b(b-1) = 8,540 (6,916 at 28), prop1 40*sum (b-1) = 8,400
@@ -95,3 +96,18 @@ def test_each_case_carries_the_row_of_its_own_b(suite, cfg, monkeypatch):
         (f"b={b}", ROW_OF[suite](b, cfg)) for b in range(2, 30)
     ]
     _assert_reaped(pids)
+
+
+def test_a_refused_fork_prints_what_one_cpu_prints(capsys, monkeypatch):
+    # the floor suite at size 100 forks once on two CPUs; refused, it runs
+    # every row here and the CLI still passes
+    argv = ["verify", "--suite", "floor", "--size", "100"]
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    fds = _open_fds()
+    assert main(argv) == 0
+    refused = capsys.readouterr()
+    assert _open_fds() == fds
+    monkeypatch.setattr(numerics, "_cpus", lambda: 1)
+    assert main(argv) == 0
+    assert capsys.readouterr() == refused

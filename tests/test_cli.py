@@ -277,6 +277,50 @@ def test_closed_stdout_ends_by_sigpipe_without_traceback():
     assert b"Traceback" not in proc.stderr
 
 
+# The entrypoint's exits, a suite patched to fail among them: main alone
+# leaves the heap unfrozen, the entrypoint freezes it before it exits.
+_ENTRYPOINT = """\
+import gc, sys
+from cotsum import checks, cli
+if sys.argv.pop(1) == "fails":
+    checks.SUITES["lemma4"] = lambda size, seed, cfg: ([("case", False, 1.0)], {})
+print("main", cli.main(), gc.get_freeze_count(), file=sys.stderr)
+try:
+    cli.entrypoint()
+except SystemExit as exc:
+    print("entrypoint", exc.code, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "lemma4, argv, code",
+    [
+        ("passes", ["verify", "--help"], 0),
+        ("passes", ["verify", "--suite", "lemma4"], 0),
+        ("fails", ["verify", "--suite", "lemma4"], 1),
+        ("passes", ["eval", "--h", "1", "--k", "0"], 2),
+    ],
+)
+def test_entrypoint_freezes_the_heap_before_it_exits(lemma4, argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRYPOINT, lemma4, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exits = {
+        words[0]: (int(words[1]), int(words[2]))
+        for words in map(str.split, proc.stderr.splitlines())
+        if words and words[0] in ("main", "entrypoint")
+    }
+    assert exits["main"] == (code, 0)
+    entry_code, frozen = exits["entrypoint"]
+    assert entry_code == code
+    assert frozen > 0
+
+
 def _child_imports(module, argv, cwd=None) -> bool:
     """Whether ``cotsum.cli.main(argv)`` in a fresh process imports ``module``."""
     script = (
@@ -297,8 +341,10 @@ def _child_imports(module, argv, cwd=None) -> bool:
     return last == "True"
 
 
-def test_only_binary64_c0_imports_numpy():
-    # numpy's import costs ~0.1 s, so import, help, verify and constants skip it
+def test_only_binary64_c0_imports_numpy(tmp_path):
+    # numpy's import costs ~0.1 s, so import, help, verify, constants and the
+    # extended-precision c0 skip it
+    scan = ["residuals", "--b-min", "256", "--b-max", "1024", "--geometric-step", "2"]
     for argv, loaded in (
         ([], False),
         (["verify", "--suite", "floor", "--size", "5"], False),
@@ -306,8 +352,11 @@ def test_only_binary64_c0_imports_numpy():
         (["constants", "--help"], False),
         (["constants", "--K", "1000"], False),
         (["eval", "--h", "1", "--k", "5"], True),
+        (scan, True),
+        ([*scan, "--precision", "113"], False),
+        (["eval", "--h", "1", "--k", "5", "--precision", "113"], False),
     ):
-        assert _child_imports("numpy", argv) is loaded, argv
+        assert _child_imports("numpy", argv, cwd=tmp_path) is loaded, argv
 
 
 def _bare_interpreter_modules() -> set:
