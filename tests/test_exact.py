@@ -98,8 +98,10 @@ def test_c0_powers_of_two_match_the_full_row(cfg):
         assert c0(ReducedFraction(1, k), cfg) == full_row
 
 
-# c0(h/k).hex() at the residuals ladder's rows b = 2^8..2^22 (h = 1) and at
-# three larger arguments, as computed by the m-indexed half-row kernel.
+# c0(h/k).hex() at the residuals ladder's rows b = 2^8..2^22 (h = 1), at
+# three larger arguments with odd k, and at four with even k and h != 1, as
+# computed by the m-indexed half-row kernel.  The half row of (2^21 + 1, 2^22)
+# is row (1, 2^21).
 C0_PINNED_HEX = {
     (1, 2**8): "0x1.5d73d2440e4bep+8",
     (1, 2**9): "0x1.95c69640df0e2p+9",
@@ -119,6 +121,10 @@ C0_PINNED_HEX = {
     (1234567, 2**22 + 1): "0x1.73c875eed7da0p+19",
     (2**22, 2**22 + 1): "-0x1.1cf917ce24021p+24",
     (3, 2**20 + 1): "0x1.48e3fba914580p+20",
+    (3, 2**20): "0x1.280b9f973c55bp+20",
+    (12345, 2**22): "-0x1.23618b7a7d46ap+18",
+    (2**21 + 1, 2**22): "0x1.00bb49cac11efp+23",
+    (5, 3 * 2**18): "0x1.0bde96acf6e75p+19",
 }
 
 
