@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .exact import _c0_ladder, _check_c0_k
+from .exact import _check_c0_k, c0
 from .numerics import (
     DEFAULT_CONFIG,
     ConstantEstimate,
     PrecisionConfig,
     PreconditionError,
+    ReducedFraction,
     _context,
     _in_child,
     euler_gamma,
@@ -349,19 +350,21 @@ def residual_scan(
 ) -> tuple[list[ResidualRecord], LogFitReport]:
     """Exact-minus-main-terms residuals delta(b) over increasing b, with a fit.
 
-    Each b costs one O(b) exact evaluation of c0(1/b), with c0's bits
-    (:func:`exact._c0_ladder`: a b twice the one before costs half); every
-    b is checked against c0's limits before the first.  The report carries
-    the least-squares slope and intercept of delta against log(b) (computed
-    in binary64) plus max |delta|: a bounded error term shows a near-zero
-    slope, while an error growing like log(b) would show a stable nonzero
-    slope.
+    Each b costs one O(b) exact evaluation of c0(1/b); in binary64 a b
+    twice the one before costs half, since :func:`c0` keeps the last row's
+    exact parts and reuses them for the row's even r (see
+    :func:`exact._row_parts`).  Every b is checked against c0's limits
+    before the first.  The report carries the least-squares slope and
+    intercept of delta against log(b) (computed in binary64) plus
+    max |delta|: a bounded error term shows a near-zero slope, while an
+    error growing like log(b) would show a stable nonzero slope.
     """
     _check_bs(bs, 1)
     for b in bs:
         _check_c0_k(b)
     records = []
-    for b, exact in zip(bs, _c0_ladder(bs, cfg)):
+    for b in bs:
+        exact = c0(ReducedFraction(1, b), cfg)
         main = c0_main_terms(b, cfg)
         with _context(cfg):
             delta = exact - main

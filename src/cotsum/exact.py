@@ -78,11 +78,13 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
     reduced without error to a few floats with the same exact sum
     (:func:`_exact_parts`), so that sum rounds once, as one fsum of the
     terms in any order would: the order of the terms cannot change the bits.
-    In extended precision the terms stream through :func:`_half_row_sum`
-    with P(u) = u.  No row is built: cost O(k) time, and memory bounded by
-    one chunk of terms.  Because the fold keeps the sign exactly,
-    c0((k-h)/k) is bitwise -c0(h/k).  k must be below 2^32
-    (:class:`CapacityError`).
+    For even k the even-r terms are those of c0((h mod k/2)/(k/2)), so their
+    parts are that row's, and :func:`_row_parts` keeps the last row's parts:
+    a doubling ladder of k sums half its terms.  In extended precision the
+    terms stream through :func:`_half_row_sum` with P(u) = u.  No row is
+    built: cost O(k) time, and memory bounded by one chunk of terms.
+    Because the fold keeps the sign exactly, c0((k-h)/k) is bitwise
+    -c0(h/k).  k must be below 2^32 (:class:`CapacityError`).
     """
     h, k = frac.h, frac.k
     _check_c0_k(k)
@@ -91,40 +93,26 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
     return _half_row_sum(h, k, _cot_derivative_coeffs(0), cfg)
 
 
-def _c0_ladder(bs, cfg: PrecisionConfig):
-    """Yield c0(1/b) for each b of the increasing ``bs``, with c0's bits.
-
-    In binary64, when b is twice the b before it, the even-r terms of row b
-    are bit for bit the terms of the row before (see
-    :func:`_half_row_chunks`), so only the odd r of row b are summed, and
-    the exact parts of the row before are added to theirs.  One fsum of the
-    parts rounds once, as :func:`c0`'s does.  Only the parts of the row
-    before are held, a few floats per chunk.  Above 53 bits every row is
-    :func:`c0`.  The caller checks each b against :func:`c0`'s cap.
-    """
-    if cfg.extended:
-        for b in bs:
-            yield c0(ReducedFraction(1, b), cfg)
-        return
-    prev_b, prev_parts = 0, []
-    for b in bs:
-        if b == 2 * prev_b:
-            parts = _row_parts(1, b, odd_only=True) + prev_parts
-        else:
-            parts = _row_parts(1, b)
-        yield sum_strategy(parts, cfg)
-        prev_b, prev_parts = b, parts
-
-
 def _check_c0_k(k: int) -> None:
     """Raise unless :func:`c0` takes the denominator k: k < 2^32."""
     if k >= _C0_MAX_K:
         raise CapacityError(f"c0 requires k < 2^32, got k = {k}")
 
 
-def _row_parts(h: int, k: int, odd_only: bool = False) -> list[float]:
-    """Floats whose exact sum is that of :func:`_half_row_chunks`' terms."""
-    parts = []
+# A doubling scan asks for row k/2 just before row k, so one row is enough.
+@lru_cache(maxsize=1)
+def _row_parts(h: int, k: int) -> list[float]:
+    """Floats whose exact sum is that of :func:`_half_row_chunks`' terms.
+
+    For an even k > 2 the even-r terms are those of row (h mod k/2, k/2)
+    (see :func:`_half_row_chunks`), so the parts are a copy of that row's
+    plus those of the odd-r terms; else those of every term.  The half row
+    is taken first, so no chunk is held while it recurses.
+    """
+    if k % 2 or k == 2:
+        parts, odd_only = [], False
+    else:
+        parts, odd_only = list(_row_parts(h % (k // 2), k // 2)), True
     for terms in _half_row_chunks(h, k, odd_only):
         parts += _exact_parts(terms)
     return parts
@@ -147,16 +135,19 @@ def _half_row_chunks(h: int, k: int, odd_only: bool = False):
     also the far angle's numerator.  Every integer is exact in float64.
     With ``odd_only`` only the terms of odd r come, in the same order.
 
-    With h = 1, the term of row 2k at r = 2r' is bit for bit the term of
-    row k at r'.  Near angle: 2r'*pi rounds to twice r'*pi, and that over
-    2k is the double r'*pi/k.  Far angle: (2k - 4r')*pi/(4k) is likewise
-    the double (k - 2r')*pi/(2k).  So tan and reciprocal see the same
-    inputs, and the weight 2k - 4r' is twice k - 2r', so the product is
-    twice row k's and over 2k gives row k's double.  The ranges match:
+    The term of row (h, 2k) at r = 2r' is bit for bit the term of row
+    (h mod k, k) at r'.  The angles do not depend on h.  Near angle:
+    2r'*pi rounds to twice r'*pi, and that over 2k is the double r'*pi/k.
+    Far angle: (2k - 4r')*pi/(4k) is likewise the double (k - 2r')*pi/(2k).
+    So tan and reciprocal see the same inputs.  h^-1 mod 2k is also
+    (h mod k)^-1 mod k, so at r = 2r', m = 2*(r'*(h mod k)^-1 mod k) and the
+    weight 2k - 2m is twice row k's integer weight; when h mod k = 1, row
+    k's float weight k - 2r' is that same integer.  So the product is twice
+    row k's, and over 2k it gives row k's double.  The ranges match:
     2r' <= (2k)//4 iff r' <= k//4, and 2r' <= (2k-1)//2 iff r' <= (k-1)//2.
     Scaling by two is exact short of overflow or subnormals, which
-    k < 2^32 reaches neither.  So row 2k's even-r terms are row k's terms,
-    and its odd-r terms are all that is new.
+    k < 2^32 reaches neither.  So row (h, 2k)'s even-r terms are row
+    (h mod k, k)'s terms, and its odd-r terms are all that is new.
     """
     # Imported here: numpy's import would cost every other command ~0.1 s.
     import numpy as np

@@ -653,12 +653,11 @@ def test_residual_scan_checks_the_c0_cap_before_the_first_row(cfg, monkeypatch):
     # error names the first b past the cap, as c0 itself would
     calls = []
 
-    def counted(bs, cfg):
-        for b in bs:
-            calls.append(b)
-            yield 0.0
+    def counted(frac, cfg):
+        calls.append(frac.k)
+        return 0.0
 
-    monkeypatch.setattr(asymptotics, "_c0_ladder", counted)
+    monkeypatch.setattr(asymptotics, "c0", counted)
     with pytest.raises(CapacityError, match=r"c0 requires k < 2\^32, got k = 4294967296"):
         residual_scan([3, 2**31, 2**32, 2**33], cfg)
     assert calls == []

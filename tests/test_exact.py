@@ -30,13 +30,13 @@ from cotsum.asymptotics import residual_scan
 from cotsum.exact import (
     _C0_CHUNK,
     _ROW_COPIES,
-    _c0_ladder,
     _cot_derivative_coeffs,
     _cot_kernel,
     _gathered,
     _half_row_chunks,
     _half_row_sum,
     _horner,
+    _row_parts,
     _unit_row,
 )
 from cotsum.numerics import _context
@@ -193,14 +193,21 @@ def _row_bits(h, k, odd_only=False):
 
 
 def test_even_r_terms_of_row_2b_are_row_b_terms():
-    # the identity _c0_ladder's reuse rests on: row 2b's term at r = 2r' is
-    # row b's term at r', bit for bit (h = 1); the odd-only chunks are the
+    # the identity c0's reuse rests on: row (h, 2b)'s term at r = 2r' is row
+    # (h mod b, b)'s term at r', bit for bit; the odd-only chunks are the
     # odd-r terms of the all-r chunks, in order.  b = 2^16 + 1 and 3*2^18
-    # put row b's near/far boundary and chunk ends off the powers of two.
+    # put row b's near/far boundary and chunk ends off the powers of two;
+    # for even b, h = b + 1 meets the h = 1 row through the int64 weight path.
+    rng = random.Random(29)
     for b in [*range(2, 601), 2**16 + 1, 3 * 2**18, 2**21]:
-        row_2b = _row_bits(1, 2 * b)
-        assert np.array_equal(row_2b[1::2], _row_bits(1, b)), b
-        assert np.array_equal(_row_bits(1, 2 * b, odd_only=True), row_2b[0::2]), b
+        for h in {1, 2 * b - 1, b + 1, rng.randrange(1, 2 * b)}:
+            while gcd(h, 2 * b) != 1:
+                h = h % (2 * b - 1) + 1
+            row_2b = _row_bits(h, 2 * b)
+            assert np.array_equal(row_2b[1::2], _row_bits(h % b, b)), (h, b)
+            assert np.array_equal(
+                _row_bits(h, 2 * b, odd_only=True), row_2b[0::2]
+            ), (h, b)
 
 
 def test_odd_only_chunks_are_the_odd_r_terms_for_any_h():
@@ -225,14 +232,50 @@ def test_odd_only_chunks_are_the_odd_r_terms_for_any_h():
     ids=["doubling", "3*2^j", "5*2^j", "integers", "powers-of-3", "mixed"],
 )
 def test_c0_ladder_equals_c0_row_by_row(cfg, cfg_ext, bs):
-    # reusing the half row's parts keeps every row's bits
-    assert [v.hex() for v in _c0_ladder(bs, cfg)] == [
-        c0(ReducedFraction(1, b), cfg).hex() for b in bs
-    ]
+    # reusing the half row's parts keeps every row's bits: the scan's rows
+    # and a cold c0 both equal one fsum of all of the row's terms
+    records, _ = residual_scan(bs, cfg)
+    for b, r in zip(bs, records):
+        want = math.fsum(np.concatenate([np.empty(0), *_half_row_chunks(1, b)]))
+        _row_parts.cache_clear()
+        assert r.c0_exact.hex() == c0(ReducedFraction(1, b), cfg).hex() == want.hex(), b
     small = [b for b in bs if b <= 200][:6]
-    assert list(_c0_ladder(small, cfg_ext)) == [
+    records, _ = residual_scan(small, cfg_ext)
+    assert [r.c0_exact for r in records] == [
         c0(ReducedFraction(1, b), cfg_ext) for b in small
     ]
+
+
+def test_doubling_ladder_sums_half_its_terms(cfg, monkeypatch):
+    # rows 2^8..2^22 hold sum (b-1)//2 = 4,194,161 terms; with row b/2's
+    # parts reused only 2^21 - 1 of them are built and summed
+    built = []
+
+    def counted(h, k, odd_only=False):
+        for terms in _half_row_chunks(h, k, odd_only):
+            built.append(terms.size)
+            yield terms
+
+    monkeypatch.setattr(cotsum.exact, "_half_row_chunks", counted)
+    _row_parts.cache_clear()
+    residual_scan([2**j for j in range(8, 23)], cfg)
+    assert sum(built) == 2**21 - 1
+
+
+def test_cold_c0_holds_no_chunk_while_it_recurses(cfg):
+    # a cold c0(1/2^20) takes its half rows first, so one chunk's arrays
+    # are alive at a time (0.63 MiB measured); building the row's own
+    # chunks before recursing keeps a chunk per level and peaks at 1 MiB.
+    # numpy is imported and first used before tracing starts.
+    c0(ReducedFraction(1, 2**10), cfg)
+    _row_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        c0(ReducedFraction(1, 2**20), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_residual_scan_reproduces_the_pinned_c0_bits(cfg):
