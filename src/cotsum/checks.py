@@ -117,23 +117,33 @@ def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
 
 
 def _floor_rows(bs: range, cfg: PrecisionConfig) -> list:
-    """``(max_im, max_round)`` per b of bs."""
-    a_values = range(1, 1001)
+    """``(max_im, max_round)`` per b of bs, over a = 1..1000.
+
+    Both are taken class by class: the imaginary residue is one per residue
+    class of a mod b, and the a of class s are s, s + b, ..., with
+    floor(a/b) = 0, 1, ... (b, 2b, ... and 1, 2, ... for s = 0).
+    """
+    last_a = 1000
     rows = []
     for b in bs:
-        parts = exact.floor_identities(b, a_values, cfg)
-        max_im = worst_residue([abs(float(im)) for _, im in parts])
-        max_round = worst_residue(
-            [abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)]
-        )
-        rows.append((max_im, max_round))
+        # the classes of a = 1..last_a: no class 0 past b = last_a
+        classes = range(0 if b <= last_a else 1, min(b, last_a + 1))
+        sums = exact._floor_class_sums(b, classes, cfg)
+        max_im = worst_residue([abs(float(im)) for _, im in sums.values()])
+        rounding = []
+        for s, (re, _) in sums.items():
+            first = s or b
+            reals = exact._floor_reals(b, range(first, last_a + 1, b), re, cfg)
+            rounding += [abs(float(x) - q) for q, x in enumerate(reals, first // b)]
+        rows.append((max_im, worst_residue(rounding)))
     return rows
 
 
 def floor(size: int | None, seed: int, cfg: PrecisionConfig):
     size = 100 if size is None else size
     bs = range(2, size + 1)
-    # per b, two sums of b - 1 terms for each of the b residue classes of a
+    # per b, two sums of b - 1 terms for each of the b residue classes of a;
+    # a class and its conjugate b - s share their products, not their terms
     child_terms = 2 * sum(b * (b - 1) for b in bs[1::2])
     rows = _split_b(_floor_rows, bs, child_terms, cfg)
     cases = []

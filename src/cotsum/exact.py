@@ -331,6 +331,63 @@ def _gathered(row, step: int, b: int) -> list:
     return out
 
 
+def _floor_class_sums(b: int, classes, cfg: PrecisionConfig) -> dict:
+    """``{s: (re, im)}``: the floor identity's sum over m for each class s.
+
+        (1/(2b)) sum_{m=1}^{b-1} (1 - i*cot(pi*m/b)) e^(2*pi*i*m*s/b)
+
+    for each residue s (0 <= s < b) in ``classes``, its real and imaginary
+    parts each formed from the terms wr + c*wi and wi - c*wr, with
+    c = cot(pi*m/b) and (wr, wi) the cos and sin entries at m*s mod b, and
+    summed correctly rounded.  A class s and its conjugate t = b - s share
+    their products: (b - m)*t = m*s (mod b), so t's term at b - m reads the
+    entries of s's term at m, and cot at b - m is bitwise -c (see
+    :func:`_unit_row`).  Rounding to nearest is symmetric in sign, so
+    fl(-c*w) = -fl(c*w), and t's terms are wr - c*wi and wi + c*wr from the
+    same products p = c*wi and q = c*wr; read backwards, they come in t's
+    own order m = 1..b-1.  So one pass over m gives both classes, each sum
+    with the terms and order that a pass of its own would give.  Classes 0
+    and b/2, and a class whose conjugate is not requested, take a pass alone.
+    """
+    classes = set(classes)
+    cot, cos_row, sin_row = _unit_row(b, cfg.working_precision)
+    two_b = 2 * b
+    sums = {}
+    with _context(cfg) as (mt, pi, real):
+        for s in classes:
+            if s in sums:
+                continue
+            re_s, im_s, re_t, im_t = [], [], [], []
+            for c, wr, wi in zip(
+                cot, _gathered(cos_row, s, b), _gathered(sin_row, s, b)
+            ):
+                p = c * wi
+                q = c * wr
+                re_s.append(wr + p)
+                im_s.append(wi - q)
+                re_t.append(wr - p)
+                im_t.append(wi + q)
+            sums[s] = (sum_strategy(re_s, cfg) / two_b, sum_strategy(im_s, cfg) / two_b)
+            t = b - s
+            if t != s and t in classes:
+                # into t's own order m = 1..b-1
+                re_t.reverse()
+                im_t.reverse()
+                sums[t] = (
+                    sum_strategy(re_t, cfg) / two_b,
+                    sum_strategy(im_t, cfg) / two_b,
+                )
+    return sums
+
+
+def _floor_reals(b: int, a_values, re, cfg: PrecisionConfig) -> list:
+    """a/b + 1/(2b) - 1/2 + re for each a of one class, whose real sum is re."""
+    with _context(cfg) as (mt, pi, real):
+        offset = real(1) / (2 * b)
+        half = real(1) / 2
+        return [real(a) / b + offset - half + re for a in a_values]
+
+
 def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """``(real, imag)`` of the exponential-sum expression for floor(a/b), per a.
 
@@ -340,36 +397,23 @@ def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):
     ``a_values`` is an iterable of integers a >= 1, read once; the pairs come
     back in its order.  The exponential has period b in a, so the sum's real
     and imaginary parts are each formed, correctly rounded, once per residue
-    class a mod b present, and every a of a class only adds its own a/b.
+    class a mod b present (:func:`_floor_class_sums`), and every a of a class
+    only adds its own a/b.
     """
     a_values = list(a_values)
     if b < 2 or min(a_values, default=1) < 1:
         raise PreconditionError(
             f"need a >= 1 and b >= 2, got a = {min(a_values, default=None)}, b = {b}"
         )
-    cot, cos_row, sin_row = _unit_row(b, cfg.working_precision)
-    two_b = 2 * b
-    parts = [None] * b
-    with _context(cfg) as (mt, pi, real):
-        for step in {a % b for a in a_values}:
-            re_terms = []
-            im_terms = []
-            for c, wr, wi in zip(
-                cot, _gathered(cos_row, step, b), _gathered(sin_row, step, b)
-            ):
-                re_terms.append(wr + c * wi)
-                im_terms.append(wi - c * wr)
-            parts[step] = (
-                sum_strategy(re_terms, cfg) / two_b,
-                sum_strategy(im_terms, cfg) / two_b,
-            )
-        offset = real(1) / two_b
-        half = real(1) / 2
-        return [
-            (real(a) / b + offset - half + re, im)
-            for a in a_values
-            for re, im in [parts[a % b]]
-        ]
+    by_class = {}
+    for a in a_values:
+        by_class.setdefault(a % b, []).append(a)
+    sums = _floor_class_sums(b, by_class, cfg)
+    reals = {
+        s: iter(_floor_reals(b, class_a, sums[s][0], cfg))
+        for s, class_a in by_class.items()
+    }
+    return [(next(reals[a % b]), sums[a % b][1]) for a in a_values]
 
 
 def cot_cos_identity_residual(

@@ -10,7 +10,7 @@ import os
 import pytest
 from test_asymptotics import _assert_reaped, _forks, _open_fds, _refuse_fork
 
-from cotsum import PrecisionConfig, checks, numerics
+from cotsum import PrecisionConfig, checks, exact, numerics
 from cotsum.cli import main
 
 # Both suites' child share first reaches the 2^13-term break-even at size 29:
@@ -111,3 +111,18 @@ def test_a_refused_fork_prints_what_one_cpu_prints(capsys, monkeypatch):
     monkeypatch.setattr(numerics, "_cpus", lambda: 1)
     assert main(argv) == 0
     assert capsys.readouterr() == refused
+
+
+def test_a_row_past_b_1000_has_no_class_0(cfg):
+    # a = 1..1000 miss class 0 of b = 1003, and classes 1 and 2 miss their
+    # conjugates 1002 and 1001
+    b = 1003
+    a_values = range(1, 1001)
+    parts = exact.floor_identities(b, a_values, cfg)
+    expected = (
+        checks.worst_residue([abs(float(im)) for _, im in parts]),
+        checks.worst_residue(
+            [abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)]
+        ),
+    )
+    assert checks._floor_rows(range(b, b + 1), cfg) == [expected]

@@ -231,15 +231,15 @@ def test_a_nan_residue_fails_and_is_reported(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["values"]["failed"] == 4
     assert math.isnan(payload["values"]["max_residue"])
-    # the floor suite: a nan imaginary part for one a of each b
-    floor_identities = exact.floor_identities
+    # the floor suite: a nan imaginary part for one class of each b, a = 2's
+    floor_class_sums = exact._floor_class_sums
 
-    def one_nan(b, a_values, cfg):
-        parts = floor_identities(b, a_values, cfg)
-        parts[1] = (parts[1][0], math.nan)
-        return parts
+    def one_nan(b, classes, cfg):
+        sums = floor_class_sums(b, classes, cfg)
+        sums[2 % b] = (sums[2 % b][0], math.nan)
+        return sums
 
-    monkeypatch.setattr(exact, "floor_identities", one_nan)
+    monkeypatch.setattr(exact, "_floor_class_sums", one_nan)
     cases, extra = checks.floor(4, None, cfg)
     assert [ok for _, ok, _ in cases] == [False, False, False]
     assert all(math.isnan(residue) for _, _, residue in cases)

@@ -531,40 +531,89 @@ def test_floor_identity_reports_its_checks(cfg, monkeypatch):
         (math.nan, 0.0, False),
         (0.0, math.nan, False),
     ):
+        # class sums that put every a's real part at floor(a/b) + d_re
         monkeypatch.setattr(
             cotsum.exact,
-            "floor_identities",
-            lambda b, a_values, cfg: [(a // b + d_re, d_im) for a in a_values],
+            "_floor_class_sums",
+            lambda b, classes, cfg: {
+                s: (d_re + 0.5 - (s + 0.5) / b, d_im) for s in classes
+            },
         )
         cases, _ = checks.floor(3, checks.DEFAULT_SEED, cfg)
         assert [passed for _, passed, _ in cases] == [ok, ok]
 
 
-def _floor_oracle(a_values, b, precision):
-    """floor(a/b)'s expression per a, each class sum formed term by term."""
+def _floor_class_oracle(b, classes, precision):
+    """``{s: (re, im)}``, each class's sum over 2b formed term by term."""
     with mpmath.workprec(precision):
         if precision == 53:
-            mt, pi, fsum, real = math, math.pi, math.fsum, float
+            mt, pi, fsum = math, math.pi, math.fsum
         else:
-            mt, pi, fsum, real = mpmath, +mpmath.pi, mpmath.fsum, mpmath.mpf
+            mt, pi, fsum = mpmath, +mpmath.pi, mpmath.fsum
         sums = {}
+        for s in classes:
+            re_terms = []
+            im_terms = []
+            for m in range(1, b):
+                c = _cot_kernel(m, b, mt, pi)
+                j = m * s % b
+                wr, wi = mt.cos(2 * pi * j / b), mt.sin(2 * pi * j / b)
+                re_terms.append(wr + c * wi)
+                im_terms.append(wi - c * wr)
+            sums[s] = fsum(re_terms) / (2 * b), fsum(im_terms) / (2 * b)
+    return sums
+
+
+def _floor_oracle(a_values, b, precision):
+    """floor(a/b)'s expression per a, each class sum formed term by term."""
+    sums = _floor_class_oracle(b, {a % b for a in a_values}, precision)
+    with mpmath.workprec(precision):
+        real = float if precision == 53 else mpmath.mpf
         out = []
         for a in a_values:
-            if a % b not in sums:
-                re_terms = []
-                im_terms = []
-                for m in range(1, b):
-                    c = _cot_kernel(m, b, mt, pi)
-                    j = m * a % b
-                    wr, wi = mt.cos(2 * pi * j / b), mt.sin(2 * pi * j / b)
-                    re_terms.append(wr + c * wi)
-                    im_terms.append(wi - c * wr)
-                sums[a % b] = fsum(re_terms), fsum(im_terms)
             re, im = sums[a % b]
-            out.append(
-                (real(a) / b + real(1) / (2 * b) - real(1) / 2 + re / (2 * b), im / (2 * b))
-            )
+            out.append((real(a) / b + real(1) / (2 * b) - real(1) / 2 + re, im))
     return out
+
+
+def _class_bits(sums):
+    return {s: (_bits(re), _bits(im)) for s, (re, im) in sums.items()}
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+@pytest.mark.parametrize(
+    "b, classes",
+    [
+        *((b, range(b)) for b in (2, 3, 4, 12, 97, 100)),
+        # one-sided sets: a class whose conjugate is not requested
+        (7, {1}),
+        (7, {1, 2}),
+        (12, {1}),
+        (12, {1, 2}),
+        (12, {6}),
+        (100, {50}),
+    ],
+)
+def test_floor_class_sums_are_the_term_by_term_sums(b, classes, precision):
+    cfg = PrecisionConfig(working_precision=precision)
+    got = cotsum.exact._floor_class_sums(b, classes, cfg)
+    assert sorted(got) == sorted(classes)
+    assert _class_bits(got) == _class_bits(_floor_class_oracle(b, classes, precision))
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 12, 97, 100])
+def test_floor_class_sums_gather_once_per_conjugate_pair(b, cfg, monkeypatch):
+    gathers = []
+
+    def counted(row, step, b):
+        gathers.append(step)
+        return _gathered(row, step, b)
+
+    monkeypatch.setattr(cotsum.exact, "_gathered", counted)
+    cotsum.exact._floor_class_sums(b, range(b), cfg)
+    # classes 0 and b/2 alone, every other class with its conjugate b - s
+    assert len(gathers) == 2 * (b // 2 + 1)
+    assert sorted(set(gathers)) == list(range(b // 2 + 1))
 
 
 @pytest.mark.parametrize("precision", [53, 113])
