@@ -9,6 +9,10 @@ and, when that half is large enough to pay for a fork, the rows of
 b = 3, 5, 7, ... in a forked child, whose calls such a tracer does not see.
 Every identity call for one b reads the same cached row set of that b
 (``exact._unit_row``: cot, cos and sin), built in the process that checks b.
+``floor`` works per residue class of a mod b, not per a: one
+``exact._floor_class_sums`` call per b gives the sums of the classes that
+a = 1..1000 cover, conjugate classes s and b - s from one pass, and each
+a then costs only its real part and its distance to floor(a/b).
 """
 
 import math
@@ -117,11 +121,10 @@ def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
 
 
 def _floor_rows(bs: range, cfg: PrecisionConfig) -> list:
-    """``(max_im, max_round)`` per b of bs, over a = 1..1000.
+    """``(max_im, max_round)`` per b of bs over a = 1..1000, class by class.
 
-    Both are taken class by class: the imaginary residue is one per residue
-    class of a mod b, and the a of class s are s, s + b, ..., with
-    floor(a/b) = 0, 1, ... (b, 2b, ... and 1, 2, ... for s = 0).
+    The a of class s are s, s + b, ..., whose floor(a/b) are 0, 1, ...;
+    those of class 0 are b, 2b, ..., whose floors are 1, 2, ...
     """
     last_a = 1000
     rows = []
