@@ -25,6 +25,7 @@ from cotsum.asymptotics import (
     s_sum_direct,
 )
 from cotsum.exact import (
+    _floor_class_sums,
     _unit_row,
     c0,
     cot_cos_identity_residual,
@@ -41,6 +42,10 @@ CASES = {
     "estermann_alpha0": lambda cfg: estermann_at_zero(ReducedFraction(3, 11), 0, cfg),
     "estermann_alpha2": lambda cfg: estermann_at_zero(ReducedFraction(3, 11), 2, cfg),
     "estermann_alpha4": lambda cfg: estermann_at_zero(ReducedFraction(5, 12), 4, cfg),
+    "floor_class_sums": lambda cfg: sorted(
+        _floor_class_sums(12, range(12), cfg).items()
+    ),
+    "floor_class_sum": lambda cfg: _floor_class_sums(5, {2}, cfg)[2],
     "floor_identities": lambda cfg: floor_identities(12, [1, 5, 12, 29, 17], cfg),
     "floor_identity": lambda cfg: floor_identities(5, [7], cfg)[0],
     "cot_cos": lambda cfg: cot_cos_identity_residual(3, 10, 2, cfg),
@@ -120,6 +125,66 @@ GOLDEN = {
                         ("float", "0x1.d83ee0c0d86d8p-14")),
     "euler_gamma@53": ("float", "0x1.2788cfc6fb619p-1"),
     "euler_gamma@113": ("mpf", (0, 1534502442785444268401093204211049879, -121, 121)),
+    "floor_class_sum@53": (
+        ("float", "-0x1.999999999999ap-57"),
+        ("float", "-0x1.999999999999ap-55"),
+    ),
+    "floor_class_sum@113": (
+        ("mpf", (1, 1, -115, 1)),
+        ("mpf", (1, 4153837486827862102824397063376077, -227, 112)),
+    ),
+    "floor_class_sums@53": (
+        (0, (("float", "0x1.d555555555555p-2"),
+             ("float", "0x0.0p+0"))),
+        (1, (("float", "0x1.8000000000000p-2"),
+             ("float", "-0x1.132277bbe4daap-54"))),
+        (2, (("float", "0x1.2aaaaaaaaaaaap-2"),
+             ("float", "0x1.5555555555555p-56"))),
+        (3, (("float", "0x1.aaaaaaaaaaaabp-3"),
+             ("float", "-0x1.32277bbe4daa1p-58"))),
+        (4, (("float", "0x1.ffffffffffffcp-4"),
+             ("float", "0x1.5555555555555p-58"))),
+        (5, (("float", "0x1.555555555554fp-5"),
+             ("float", "-0x1.dcd22668f854cp-58"))),
+        (6, (("float", "-0x1.5555555555555p-5"),
+             ("float", "0x1.0000000000000p-55"))),
+        (7, (("float", "-0x1.0000000000001p-3"),
+             ("float", "0x1.2f1065dd8ba01p-55"))),
+        (8, (("float", "-0x1.aaaaaaaaaaaacp-3"),
+             ("float", "0x1.2000000000000p-53"))),
+        (9, (("float", "-0x1.2aaaaaaaaaaabp-2"),
+             ("float", "0x1.af1065dd8ba01p-55"))),
+        (10, (("float", "-0x1.8000000000000p-2"),
+              ("float", "0x1.6aaaaaaaaaaabp-54"))),
+        (11, (("float", "-0x1.d555555555557p-2"),
+              ("float", "0x1.4cdd88441b256p-54"))),
+    ),
+    "floor_class_sums@113": (
+        (0, (("mpf", (0, 9519210907313850652305909936903509, -114, 113)),
+             ("mpf", (0, 0, 0, 0)))),
+        (1, (("mpf", (0, 7788445287802241442795744493830145, -114, 113)),
+             ("mpf", (1, 9562249747832096644292937799008487, -226, 113)))),
+        (2, (("mpf", (0, 6057679668290632233285579050756779, -114, 113)),
+             ("mpf", (1, 1, -114, 1)))),
+        (3, (("mpf", (0, 8653828097558046047550827215366827, -115, 113)),
+             ("mpf", (1, 5278374539571319612504552053430051, -227, 113)))),
+        (4, (("mpf", (0, 5192296858534827628530496329220097, -115, 113)),
+             ("mpf", (0, 0, 0, 0)))),
+        (5, (("mpf", (0, 865382809755804604755082721536683, -114, 110)),
+             ("mpf", (1, 7441831563960831124392258857271757, -227, 113)))),
+        (6, (("mpf", (1, 6923062478046436838040661772293461, -117, 113)),
+             ("mpf", (0, 1, -116, 1)))),
+        (7, (("mpf", (1, 5192296858534827628530496329220099, -115, 113)),
+             ("mpf", (1, 5364452220607811596478607777640005, -228, 113)))),
+        (8, (("mpf", (1, 8653828097558046047550827215366827, -115, 113)),
+             ("mpf", (1, 8653828097558046047550827215366827, -227, 113)))),
+        (9, (("mpf", (1, 6057679668290632233285579050756779, -114, 113)),
+             ("mpf", (0, 10212438354996671289112881210020283, -228, 113)))),
+        (10, (("mpf", (1, 7788445287802241442795744493830145, -114, 113)),
+              ("mpf", (0, 6923062478046436838040661772293461, -228, 113)))),
+        (11, (("mpf", (1, 1189901363414231331538238742112939, -111, 110)),
+              ("mpf", (0, 9433133226277358668331854212693555, -227, 113)))),
+    ),
     "floor_identities@53": ((("float", "0x0.0p+0"),
                              ("float", "-0x1.132277bbe4daap-54")),
                             (("float", "-0x1.0000000000000p-57"),
