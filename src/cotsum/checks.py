@@ -7,6 +7,8 @@ patches a function there sees these calls too, but only those made in this
 process.  ``floor`` and ``prop1`` compute the rows of b = 2, 4, 6, ... here
 and, when that half is large enough to pay for a fork, the rows of
 b = 3, 5, 7, ... in a forked child, whose calls such a tracer does not see.
+``prop1`` makes the seeded draws of every b here, before the fork, so the
+child reads the draws of its b from what it inherits.
 Every identity call for one b reads the same cached row set of that b
 (``exact._unit_row``: cot, cos and sin), built in the process that checks b.
 ``floor`` works per residue class of a mod b, not per a: one
@@ -17,6 +19,7 @@ a then costs only its real part and its distance to floor(a/b).
 
 import math
 import random
+from array import array
 
 from . import asymptotics, exact
 from .numerics import PrecisionConfig, _in_child
@@ -62,41 +65,42 @@ def _split_b(rows, bs: range, child_terms: int, *args) -> list:
     return out
 
 
-def _prop1_draws(seed: int, last_b: int):
-    """``(b, draws)`` for b = 2..last_b: the 20 ``(a, n, a_frac, n_frac)`` of b.
+def _prop1_draws(seed: int, last_b: int) -> dict:
+    """``{b: draws}`` for b = 2..last_b: the 20 ``(a, n, a_frac, n_frac)`` of b.
 
     One ``random.Random(seed)`` stream in b order.  ``(a, n)`` is for the
     cot-cos identity; ``(a_frac, n_frac)`` starts as ``(a, n)`` and is redrawn
     until b does not divide ``n_frac*a_frac``, since the fractional part is
-    checked only where it is not 0.  The draws of one b are made only when
-    the caller asks for them.
+    checked only where it is not 0.  The suite draws once, before its rows
+    are split between processes.  The 80 numbers of b lie end to end in C
+    longs, a third of the memory they take as ints in tuples.
     """
     rng = random.Random(seed)
+    draws = {}
     for b in range(2, last_b + 1):
-        draws = []
+        draws[b] = array("l")
         for _ in range(20):
             a = a_frac = rng.randrange(1, 10**6)
             n = n_frac = rng.randrange(1, 10**6)
             while (n_frac * a_frac) % b == 0:
                 a_frac = rng.randrange(1, 10**6)
                 n_frac = rng.randrange(1, 10**6)
-            draws.append((a, n, a_frac, n_frac))
-        yield b, draws
+            draws[b].extend((a, n, a_frac, n_frac))
+    return draws
 
 
-def _prop1_rows(bs: range, seed: int, cfg: PrecisionConfig) -> list:
-    """``(max_cos, max_frac)`` per b of bs, replaying the draws of every b before."""
+def _prop1_rows(bs: range, draws: dict, cfg: PrecisionConfig) -> list:
+    """``(max_cos, max_frac)`` per b of bs, over the draws of b."""
     rows = []
-    for b, draws in _prop1_draws(seed, max(bs, default=1)):
-        if b not in bs:
-            continue
+    for b in bs:
+        d = draws[b]
         cos_b = [
             abs(float(exact.cot_cos_identity_residual(a, b, n, cfg)))
-            for a, n, _, _ in draws
+            for a, n in zip(d[0::4], d[1::4])
         ]
         frac_b = [
             abs(float(exact.frac_via_cot_sin(a, b, n, cfg)) - ((n * a) % b) / b)
-            for _, _, a, n in draws
+            for a, n in zip(d[2::4], d[3::4])
         ]
         rows.append((worst_residue(cos_b), worst_residue(frac_b)))
     return rows
@@ -107,7 +111,7 @@ def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
     bs = range(2, size + 1)
     # per b, two identities of b - 1 terms for each of the 20 draws
     child_terms = 40 * sum(b - 1 for b in bs[1::2])
-    rows = _split_b(_prop1_rows, bs, child_terms, seed, cfg)
+    rows = _split_b(_prop1_rows, bs, child_terms, _prop1_draws(seed, size), cfg)
     cases = []
     for b, (max_cos, max_frac) in zip(bs, rows):
         # a nan maximum fails both comparisons

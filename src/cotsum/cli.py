@@ -66,17 +66,17 @@ def _render(fmt: str, command: str, parameters, values, diagnostics) -> str:
 
 
 def _full_digits(x, cfg: PrecisionConfig) -> str:
-    """Decimal string carrying the full working precision of x.
+    """Decimal string carrying the full working precision of x, an mpf.
 
-    The value is formatted directly: converting through ``mpmath.mpf`` would
-    re-round it at the ambient (53-bit) precision and corrupt the low digits.
+    Every extended-precision value printed (c0, the Estermann imaginary part,
+    gamma, log 2pi) is already an mpf and is formatted as it is: passing it
+    through ``mpmath.mpf`` would re-round it at the ambient (53-bit)
+    precision and corrupt the low digits.
     """
     # Only extended-precision runs print digits, so only they import mpmath.
     import mpmath
 
     digits = max(17, int(cfg.working_precision * 0.30103) + 2)
-    if not isinstance(x, mpmath.mpf):
-        x = mpmath.mpf(float(x))
     return mpmath.nstr(x, digits)
 
 

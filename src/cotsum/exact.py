@@ -37,7 +37,6 @@ __all__ = [
     "c0",
     "cot_cos_identity_residual",
     "estermann_at_zero",
-    "floor_identities",
     "frac_via_cot_sin",
 ]
 
@@ -386,34 +385,6 @@ def _floor_reals(b: int, a_values, re, cfg: PrecisionConfig) -> list:
         offset = real(1) / (2 * b)
         half = real(1) / 2
         return [real(a) / b + offset - half + re for a in a_values]
-
-
-def floor_identities(b: int, a_values, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """``(real, imag)`` of the exponential-sum expression for floor(a/b), per a.
-
-        floor(a/b) = a/b + 1/(2b) - 1/2
-                     + (1/(2b)) sum_{m=1}^{b-1} (1 - i*cot(pi*m/b)) e^(2*pi*i*m*a/b)
-
-    ``a_values`` is an iterable of integers a >= 1, read once; the pairs come
-    back in its order.  The exponential has period b in a, so the sum's real
-    and imaginary parts are each formed, correctly rounded, once per residue
-    class a mod b present (:func:`_floor_class_sums`), and every a of a class
-    only adds its own a/b.
-    """
-    a_values = list(a_values)
-    if b < 2 or min(a_values, default=1) < 1:
-        raise PreconditionError(
-            f"need a >= 1 and b >= 2, got a = {min(a_values, default=None)}, b = {b}"
-        )
-    by_class = {}
-    for a in a_values:
-        by_class.setdefault(a % b, []).append(a)
-    sums = _floor_class_sums(b, by_class, cfg)
-    reals = {
-        s: iter(_floor_reals(b, class_a, sums[s][0], cfg))
-        for s, class_a in by_class.items()
-    }
-    return [(next(reals[a % b]), sums[a % b][1]) for a in a_values]
 
 
 def cot_cos_identity_residual(

@@ -9,8 +9,9 @@ import os
 
 import pytest
 from test_asymptotics import _assert_reaped, _forks, _open_fds, _refuse_fork
+from test_exact import _floor_row_oracle
 
-from cotsum import PrecisionConfig, checks, exact, numerics
+from cotsum import PrecisionConfig, checks, numerics
 from cotsum.cli import main
 
 # Both suites' child share first reaches the 2^13-term break-even at size 29:
@@ -79,7 +80,9 @@ def test_a_child_that_writes_nothing_leaves_the_suite_bits_alone(
 ROW_OF = {
     "floor": lambda b, cfg: checks._floor_rows(range(b, b + 1), cfg)[0][0],
     "prop1": lambda b, cfg: checks.worst_residue(
-        checks._prop1_rows(range(b, b + 1), checks.DEFAULT_SEED, cfg)[0]
+        checks._prop1_rows(
+            range(b, b + 1), checks._prop1_draws(checks.DEFAULT_SEED, b), cfg
+        )[0]
     ),
 }
 
@@ -117,12 +120,5 @@ def test_a_row_past_b_1000_has_no_class_0(cfg):
     # a = 1..1000 miss class 0 of b = 1003, and classes 1 and 2 miss their
     # conjugates 1002 and 1001
     b = 1003
-    a_values = range(1, 1001)
-    parts = exact.floor_identities(b, a_values, cfg)
-    expected = (
-        checks.worst_residue([abs(float(im)) for _, im in parts]),
-        checks.worst_residue(
-            [abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)]
-        ),
-    )
+    expected = _floor_row_oracle(b, cfg.working_precision)
     assert checks._floor_rows(range(b, b + 1), cfg) == [expected]

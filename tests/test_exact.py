@@ -22,7 +22,6 @@ from cotsum import (
     checks,
     cot_cos_identity_residual,
     estermann_at_zero,
-    floor_identities,
     frac_via_cot_sin,
     sum_strategy,
 )
@@ -485,7 +484,15 @@ def test_cot_derivative_matches_finite_difference():
             assert got == pytest.approx(fd, rel=1e-4)
 
 
-# ------------------------------------------------------- floor_identities
+# ------------------------------------------------------- floor identity
+
+
+def _floor_parts(a, b, cfg):
+    """``(real, imag)`` of floor(a/b)'s expression, as the floor suite forms it."""
+    s = a % b
+    re_s, im = cotsum.exact._floor_class_sums(b, {s}, cfg)[s]
+    (re,) = cotsum.exact._floor_reals(b, [a], re_s, cfg)
+    return re, im
 
 
 def _floor_ok(a, b, re, im):
@@ -497,27 +504,20 @@ def _floor_ok(a, b, re, im):
 
 def test_floor_examples(cfg):
     for a, b, floor in ((7, 3, 2), (6, 3, 2), (1, 97, 0)):
-        ((re, im),) = floor_identities(b, [a], cfg)
+        re, im = _floor_parts(a, b, cfg)
         assert _floor_ok(a, b, re, im)
         assert round(re) == floor
 
 
 @given(a=st.integers(min_value=1, max_value=10**6), b=st.integers(min_value=2, max_value=300))
 def test_floor_property(a, b):
-    ((re, im),) = floor_identities(b, [a])
+    re, im = _floor_parts(a, b, PrecisionConfig())
     assert _floor_ok(a, b, re, im)
     assert round(re) == a // b
 
 
-def test_floor_preconditions(cfg):
-    with pytest.raises(PreconditionError):
-        floor_identities(3, [0], cfg)
-    with pytest.raises(PreconditionError):
-        floor_identities(1, [3], cfg)
-
-
 def test_floor_identity_reports_its_checks(cfg, monkeypatch):
-    ((re, im),) = floor_identities(3, [7], cfg)
+    re, im = _floor_parts(7, 3, cfg)
     assert re == pytest.approx(2.0, abs=1e-12)
     assert abs(im) <= 1e-12
     cases, _ = checks.floor(3, checks.DEFAULT_SEED, cfg)
@@ -576,6 +576,18 @@ def _floor_oracle(a_values, b, precision):
     return out
 
 
+def _floor_row_oracle(b, precision):
+    """The floor suite's ``(max_im, max_round)`` of b, from the per-a oracle."""
+    a_values = range(1, 1001)
+    parts = _floor_oracle(a_values, b, precision)
+    return (
+        checks.worst_residue([abs(float(im)) for _, im in parts]),
+        checks.worst_residue(
+            [abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)]
+        ),
+    )
+
+
 def _class_bits(sums):
     return {s: (_bits(re), _bits(im)) for s, (re, im) in sums.items()}
 
@@ -629,13 +641,14 @@ def test_floor_sums_are_computed_once_per_residue_class(b, precision, monkeypatc
     monkeypatch.setattr(cotsum.exact, "sum_strategy", counted)
     a = 12345
     # a and a + 3b share a class: one pair of sums, and the oracle's bits
-    assert cotsum.exact.floor_identities(b, [a, a + 3 * b], cfg) == _floor_oracle(
-        [a, a + 3 * b], b, precision
-    )
+    s = a % b
+    re, im = cotsum.exact._floor_class_sums(b, {s}, cfg)[s]
+    reals = cotsum.exact._floor_reals(b, [a, a + 3 * b], re, cfg)
+    assert [(x, im) for x in reals] == _floor_oracle([a, a + 3 * b], b, precision)
     assert summed == [b - 1, b - 1]
-    # a = 1..3b covers every class three times: one pair of sums per class
+    # a = 1..1000 covers every class of b: one pair of sums per class
     summed.clear()
-    assert len(cotsum.exact.floor_identities(b, range(1, 3 * b + 1), cfg)) == 3 * b
+    assert checks._floor_rows(range(b, b + 1), cfg) == [_floor_row_oracle(b, precision)]
     assert summed == [b - 1] * (2 * b)
 
 
@@ -659,21 +672,6 @@ def test_floor_suite_matches_the_per_a_reference(precision):
         rounding.append(max(abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)))
     extra = {"max_imag_residue": max(imag), "max_rounding_distance": max(rounding)}
     assert checks.floor(12, checks.DEFAULT_SEED, cfg) == (cases, extra)
-
-
-def test_floor_identities_takes_a_one_shot_iterable(cfg):
-    # a generator is read once, so it gives what the list gives
-    assert floor_identities(5, (a for a in [7, 8]), cfg) == floor_identities(
-        5, [7, 8], cfg
-    )
-    assert len(floor_identities(5, iter([7, 8]), cfg)) == 2
-
-
-def test_floor_identities_preconditions(cfg):
-    assert cotsum.exact.floor_identities(5, [], cfg) == []
-    for b, a_values in ((1, [3]), (5, [4, 0, 2])):
-        with pytest.raises(PreconditionError):
-            cotsum.exact.floor_identities(b, a_values, cfg)
 
 
 # ------------------------------------------------- proposition identities

@@ -56,3 +56,40 @@ def test_every_exported_exception_has_a_raiser():
     ]
     assert exceptions
     assert [name for name in exceptions if name not in raised] == []
+
+
+def _references(path: Path) -> set:
+    """Names read in ``path``, as a ``Name`` or an ``Attribute``.
+
+    A top-level statement's reads of the name it defines do not count, so a
+    definition, a recursion or a self-reference does not reach itself.
+    ``__all__`` lists hold strings, not names, and an import binds a name
+    without reading it.
+    """
+    refs = set()
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = {top.name}
+        else:
+            defined = {
+                node.id
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+        read = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+        }
+        refs |= read - defined
+    return refs
+
+
+def test_every_public_name_is_reached():
+    # by the package's own code (the CLI, the verify suites and what they
+    # call), or by an acceptance criterion: criterion 4 holds g_partial
+    src = Path(cotsum.__file__).parent
+    paths = [*src.glob("*.py"), Path(__file__).parent / "test_acceptance.py"]
+    reached = set().union(*map(_references, paths))
+    assert [n for n in cotsum.__all__ if n != "__version__" and n not in reached] == []

@@ -30,7 +30,6 @@ from cotsum.exact import (
     c0,
     cot_cos_identity_residual,
     estermann_at_zero,
-    floor_identities,
     frac_via_cot_sin,
 )
 from cotsum.numerics import euler_gamma, log_two_pi, sum_strategy
@@ -46,8 +45,6 @@ CASES = {
         _floor_class_sums(12, range(12), cfg).items()
     ),
     "floor_class_sum": lambda cfg: _floor_class_sums(5, {2}, cfg)[2],
-    "floor_identities": lambda cfg: floor_identities(12, [1, 5, 12, 29, 17], cfg),
-    "floor_identity": lambda cfg: floor_identities(5, [7], cfg)[0],
     "cot_cos": lambda cfg: cot_cos_identity_residual(3, 10, 2, cfg),
     "frac_via_cot_sin": lambda cfg: frac_via_cot_sin(3, 10, 1, cfg),
     "cot_row": lambda cfg: _unit_row(9, cfg.working_precision)[0],
@@ -185,34 +182,6 @@ GOLDEN = {
         (11, (("mpf", (1, 1189901363414231331538238742112939, -111, 110)),
               ("mpf", (0, 9433133226277358668331854212693555, -227, 113)))),
     ),
-    "floor_identities@53": ((("float", "0x0.0p+0"),
-                             ("float", "-0x1.132277bbe4daap-54")),
-                            (("float", "-0x1.0000000000000p-57"),
-                             ("float", "-0x1.dcd22668f854cp-58")),
-                            (("float", "0x1.0000000000000p+0"), ("float", "0x0.0p+0")),
-                            (("float", "0x1.ffffffffffffep+0"),
-                             ("float", "-0x1.dcd22668f854cp-58")),
-                            (("float", "0x1.0000000000000p+0"),
-                             ("float", "-0x1.dcd22668f854cp-58"))),
-    "floor_identities@113": ((("mpf", (0, 1, -114, 1)),
-                              ("mpf",
-                               (1, 9562249747832096644292937799008487, -226, 113))),
-                             (("mpf", (0, 1, -114, 1)),
-                              ("mpf",
-                               (1, 7441831563960831124392258857271757, -227, 113))),
-                             (("mpf", (0, 1, 0, 1)), ("mpf", (0, 0, 0, 0))),
-                             (("mpf",
-                               (0, 10384593717069655257060992658440191, -112, 113)),
-                              ("mpf",
-                               (1, 7441831563960831124392258857271757, -227, 113))),
-                             (("mpf",
-                               (0, 5192296858534827628530496329220097, -112, 113)),
-                              ("mpf",
-                               (1, 7441831563960831124392258857271757, -227, 113)))),
-    "floor_identity@53": (("float", "0x1.0000000000000p+0"),
-                          ("float", "-0x1.999999999999ap-55")),
-    "floor_identity@113": (("mpf", (0, 1, 0, 1)),
-                           ("mpf", (1, 4153837486827862102824397063376077, -227, 112))),
     "frac_via_cot_sin@53": ("float", "0x1.3333333333332p-2"),
     "frac_via_cot_sin@113": ("mpf", (0, 6230756230241793154236595595064115, -114, 113)),
     "g_partial@53": ("float", "0x1.7761eb9a5e8e6p+2"),
