@@ -249,9 +249,8 @@ def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantE
 
     With two CPUs usable, a forked child sums the terms K/2+1..K while this
     process sums the terms up to K/2 (see :func:`_r_checkpoints`).  Each of
-    the four segments is one correctly rounded sum of the same terms in the
-    same order wherever it runs, so the result has the same bits on one CPU
-    or on many.
+    the four segments is one correctly rounded sum of the same terms
+    wherever it runs, so the result has the same bits on one CPU or on many.
     """
     if b < 2:
         raise PreconditionError(f"need b >= 2, got {b}")

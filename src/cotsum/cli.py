@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_RESIDUAL_BUDGET,
-        help="maximum total terms summed by c0 ((b-1)//2 per sampled b)",
+        help="maximum total half-row terms counted ((b-1)//2 per sampled b)",
     )
     _add_common_flags(p_res)
 
@@ -259,7 +259,7 @@ def _cmd_residuals(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
     cost = sum((b - 1) // 2 for b in bs)
     if cost > args.budget:
         raise PreconditionError(
-            f"scan would take {cost} terms summed by c0, over the budget "
+            f"scan would take {cost} half-row terms counted, over the budget "
             f"{args.budget}; use --geometric-step to thin the sample"
         )
     records, report = asymptotics.residual_scan(bs, cfg)

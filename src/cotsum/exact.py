@@ -81,7 +81,8 @@ def c0(frac: ReducedFraction, cfg: PrecisionConfig = DEFAULT_CONFIG):
     parts are that row's, and :func:`_row_parts` keeps the last row's parts:
     a doubling ladder of k sums half its terms.  In extended precision the
     terms stream through :func:`_half_row_sum` with P(u) = u.  No row is
-    built: cost O(k) time, and memory bounded by one chunk of terms.
+    built: cost O(k) time, and memory bounded by one numpy chunk of terms in
+    binary64 and by no terms in extended precision.
     Because the fold keeps the sign exactly, c0((k-h)/k) is bitwise
     -c0(h/k).  k must be below 2^32 (:class:`CapacityError`).
     """
@@ -229,8 +230,8 @@ def _half_row_sum(h: int, k: int, coeffs: tuple[int, ...], cfg: PrecisionConfig)
 
     P has the integer ``coeffs`` and is odd, so, as in
     :func:`_half_row_chunks`, these are the half row's m-indexed terms
-    P(cot(pi*m*h/k)) * (k - 2m)/k, bit for bit, taken in r order.
-    One correctly rounded sum, no row kept.
+    P(cot(pi*m*h/k)) * (k - 2m)/k, bit for bit.  One correctly rounded sum,
+    no row kept.
     """
     inv = pow(h, -1, k)
     with _context(cfg) as (mt, pi, real):
@@ -254,7 +255,7 @@ def estermann_at_zero(
 
     For even alpha the sum is the half-row sum with P_alpha, the polynomial
     in cot of cot^(alpha): :func:`c0` when alpha = 0, else
-    :func:`_half_row_sum`, in the same terms and order; no row is kept.
+    :func:`_half_row_sum`, of the same terms; no row is kept.
     """
     if alpha < 0:
         raise PreconditionError(f"alpha must be >= 0, got {alpha}")
@@ -343,10 +344,10 @@ def _floor_class_sums(b: int, classes, cfg: PrecisionConfig) -> dict:
     entries of s's term at m, and cot at b - m is bitwise -c (see
     :func:`_unit_row`).  Rounding to nearest is symmetric in sign, so
     fl(-c*w) = -fl(c*w), and t's terms are wr - c*wi and wi + c*wr from the
-    same products p = c*wi and q = c*wr; read backwards, they come in t's
-    own order m = 1..b-1.  So one pass over m gives both classes, each sum
-    with the terms and order that a pass of its own would give.  Classes 0
-    and b/2, and a class whose conjugate is not requested, take a pass alone.
+    same products p = c*wi and q = c*wr.  So one pass over m gives both
+    classes, each sum with the terms that a pass of its own would give, and
+    a correctly rounded sum does not depend on their order.  Classes 0 and
+    b/2, and a class whose conjugate is not requested, take a pass alone.
     """
     classes = set(classes)
     cot, cos_row, sin_row = _unit_row(b, cfg.working_precision)
@@ -369,9 +370,6 @@ def _floor_class_sums(b: int, classes, cfg: PrecisionConfig) -> dict:
             sums[s] = (sum_strategy(re_s, cfg) / two_b, sum_strategy(im_s, cfg) / two_b)
             t = b - s
             if t != s and t in classes:
-                # into t's own order m = 1..b-1
-                re_t.reverse()
-                im_t.reverse()
                 sums[t] = (
                     sum_strategy(re_t, cfg) / two_b,
                     sum_strategy(im_t, cfg) / two_b,

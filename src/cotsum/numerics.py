@@ -1,9 +1,8 @@
 """Shared numerical kernel.
 
 Provides the precision configuration used across the package, exact-rational
-Bernoulli numbers, one correctly rounded sum that holds one chunk of terms at
-a time, and an error-free reduction of a numpy array to a few floats with the
-same exact sum.
+Bernoulli numbers, one correctly rounded sum that holds no terms, and an
+error-free reduction of a numpy array to a few floats with the same exact sum.
 
 Two precision modes are supported: binary64 (the default, 53-bit significand,
 evaluated with the ``math`` module) and an extended mode (> 53 bits, evaluated
@@ -24,7 +23,6 @@ import signal
 import threading
 from contextlib import contextmanager, nullcontext
 from functools import lru_cache
-from itertools import islice
 from math import comb, gcd
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -192,33 +190,23 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli_exact(m)
 
 
-# Terms per exact partial sum of the extended-precision sum_strategy.
-_SUM_CHUNK = 4096
-
-
 def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Sum a finite sequence, correctly rounded at the working precision.
 
-    ``math.fsum`` in binary64.  In extended precision the terms are read
-    _SUM_CHUNK at a time, each chunk is added exactly into one unrounded
-    mpf, and the sum of those partials is rounded once, so memory holds one
-    chunk, not every term.  Only that last sum can drop anything: where the
-    sum so far and the next partial lie more than twice the working
-    precision in bits apart, it keeps the larger.  Terms are taken in the
-    order given, so repeated runs are bit-identical.  The empty sum is zero.
+    ``math.fsum`` in binary64; in extended precision one exact running sum
+    (mpmath's ``mpf_sum`` without a precision) rounded once.  Either way the
+    result does not depend on the order of the terms, and no term is held
+    once it is added.  The empty sum is zero.
     """
     with _context(cfg) as (mt, pi, real):
         if mt is math:
             return math.fsum(values)
-        from mpmath.libmp import mpf_sum
+        from mpmath.libmp import mpf_pos, mpf_sum
 
-        terms = iter(values)
-        parts = []
-        # convert is lossless: it returns an mpf as it is
-        while chunk := [mt.convert(x)._mpf_ for x in islice(terms, _SUM_CHUNK)]:
-            parts.append(mpf_sum(chunk, 0))
-        prec, rnd = mt.mp._prec_rounding
-        return mt.mp.make_mpf(mpf_sum(parts, prec, rnd))
+        # convert is lossless; precision 0 rounds nothing, and mpf_sum drops
+        # a term only across a gap of 10^6 bits, far past any sum here
+        exact = mpf_sum((mt.convert(x)._mpf_ for x in values), 0)
+        return mt.mp.make_mpf(mpf_pos(exact, *mt.mp._prec_rounding))
 
 
 # Fewest terms of work in a child for which its fork pays.  On a 2-vCPU Xeon

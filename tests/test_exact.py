@@ -440,7 +440,7 @@ def _bits(x):
 
 @pytest.mark.parametrize("h, k", [(1, 8193), (3, 10007), (1, 16384)])
 def test_c0_at_113_bits_has_the_bits_of_the_m_ordered_half_row(h, k, cfg_ext):
-    # k past sum_strategy's 4096-term chunks, so the partials differ by order
+    # k past 4096 terms, so the r and m orders differ over many terms
     want = _half_row_sum_by_m(h, k, _cot_derivative_coeffs(0), cfg_ext)
     assert _bits(c0(ReducedFraction(h, k), cfg_ext)) == _bits(want)
 
@@ -611,6 +611,18 @@ def test_floor_class_sums_are_the_term_by_term_sums(b, classes, precision):
     got = cotsum.exact._floor_class_sums(b, classes, cfg)
     assert sorted(got) == sorted(classes)
     assert _class_bits(got) == _class_bits(_floor_class_oracle(b, classes, precision))
+
+
+def test_conjugate_pair_past_4096_terms_has_the_bits_of_two_lone_passes(cfg_ext):
+    # 4098 terms a class at 113 bits: the shared pass hands one class its
+    # terms in reverse m order, which its correctly rounded sums must not see
+    b = 4099
+    paired = cotsum.exact._floor_class_sums(b, {5, b - 5}, cfg_ext)
+    lone = {
+        **cotsum.exact._floor_class_sums(b, {5}, cfg_ext),
+        **cotsum.exact._floor_class_sums(b, {b - 5}, cfg_ext),
+    }
+    assert _class_bits(paired) == _class_bits(lone)
 
 
 @pytest.mark.parametrize("b", [2, 3, 4, 12, 97, 100])

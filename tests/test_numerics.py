@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from cotsum import (
     CapacityError,
@@ -270,28 +271,42 @@ def test_sum_extended_matches_exact_rational_reference(cfg_ext):
 
 
 def test_sum_extended_over_several_chunks_matches_one_fsum(cfg_ext):
-    # mixed signs and magnitudes 2^-120..2^-20 over 3 chunks and a tail, a
-    # float and an int among them, and a pair near 2^60 in the first and last
-    # chunks that cancels: a partial rounded to 113 bits would lose the first
-    # chunk's small terms
+    # mixed signs and magnitudes 2^-120..2^-20 over 3 chunks of 4096 and a
+    # tail, a float and an int among them, and a pair near 2^60 in the first
+    # and last chunks that cancels: a partial rounded to 113 bits would lose
+    # the first chunk's small terms.  The oracle is the exact rational sum,
+    # rounded once: mpmath.fsum drops far-apart partials as mpf_sum does.
     rng = random.Random(20151)
     with mpmath.workprec(113):
         big = mpmath.mpf(rng.getrandbits(113)) * 2**-53
         terms = [big]
-        for _ in range(3 * numerics._SUM_CHUNK + 15):
+        for _ in range(3 * 4096 + 15):
             x = mpmath.ldexp(rng.getrandbits(113), rng.randint(-233, -133))
             terms.append(-x if rng.random() < 0.5 else x)
         terms[100], terms[5000] = 0.1, -7
         terms.append(-big)
-        expected = mpmath.fsum(terms)._mpf_
+        exact = sum(_mpf_fraction(mpmath.mpf(t)) for t in terms)
+    expected = from_rational(exact.numerator, exact.denominator, 113, round_nearest)
     assert sum_strategy(terms, cfg_ext)._mpf_ == expected
     assert sum_strategy(iter(terms), cfg_ext)._mpf_ == expected
     assert isinstance(sum_strategy([], cfg_ext), mpmath.mpf)
 
 
+def test_sum_extended_keeps_a_term_between_two_far_cancelling_ones(cfg_ext):
+    # 2^400 and -2^400 with a 1 between them, 4096 zeros apart: a sum that
+    # rounds partials of 4096 terms drops the 1 beside 2^400, as
+    # mpmath.fsum does; one exact running sum keeps it
+    with mpmath.workprec(113):
+        big = mpmath.mpf(2) ** 400
+    terms = [big] + [0] * 4095 + [1] + [0] * 4095 + [-big]
+    assert sum_strategy(terms, cfg_ext) == 1
+    assert sum_strategy(iter(terms), cfg_ext) == 1
+
+
 def test_sum_extended_memory_does_not_grow_with_the_terms(cfg_ext):
     # c0(1/2^16) at 113 bits sums 32767 terms; held all at once, as one
-    # mpmath.fsum holds them, they peak at 4.7 MiB, one chunk at 1.2 MiB
+    # mpmath.fsum holds them, they peak at 4.7 MiB, one chunk of 4096 at
+    # 1.2 MiB, and one running sum at 54 KiB
     c0(ReducedFraction(1, 64), cfg_ext)  # mpmath's lazy imports and caches
     tracemalloc.start()
     try:
@@ -299,7 +314,7 @@ def test_sum_extended_memory_does_not_grow_with_the_terms(cfg_ext):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < 256 * 2**10
 
 
 def _exact_sum(values) -> float:
