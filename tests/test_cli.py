@@ -787,6 +787,187 @@ def test_rendered_output_is_pinned(capsys, argv, expected):
     assert out == expected
 
 
+# The residuals scan writes its rows to --out, so it runs in a scratch
+# directory: stdout in both formats, and the bytes of both row files.
+RESIDUALS_RENDERED = [
+    (
+        "residuals --b-min 3 --b-max 4 --out rows.csv",
+        """\
+{
+  "command": "residuals",
+  "diagnostics": {
+    "total_steps": 2
+  },
+  "parameters": {
+    "b_max": 4,
+    "b_min": 3,
+    "geometric_step": null,
+    "out": "rows.csv",
+    "precision": 53
+  },
+  "values": {
+    "intercept": 0.37452492806948023,
+    "max_abs_delta": 0.34719559372244546,
+    "rows": 2,
+    "slope": -0.024876232160271235
+  }
+}
+""",
+    ),
+    (
+        "residuals --b-min 3 --b-max 4 --out rows.csv --format text",
+        """\
+command: residuals
+parameters.b_max = 4
+parameters.b_min = 3
+parameters.geometric_step = None
+parameters.out = 'rows.csv'
+parameters.precision = 53
+values.intercept = 0.37452492806948023
+values.max_abs_delta = 0.34719559372244546
+values.rows = 2
+values.slope = -0.024876232160271235
+diagnostics.total_steps = 2
+""",
+    ),
+    (
+        "residuals --b-min 3 --b-max 4 --out rows.csv --precision 113",
+        """\
+{
+  "command": "residuals",
+  "diagnostics": {
+    "total_steps": 2
+  },
+  "parameters": {
+    "b_max": 4,
+    "b_min": 3,
+    "geometric_step": null,
+    "out": "rows.csv",
+    "precision": 113
+  },
+  "values": {
+    "intercept": 0.37452492806948157,
+    "max_abs_delta": 0.3471955937224455,
+    "rows": 2,
+    "slope": -0.024876232160272394
+  }
+}
+""",
+    ),
+    (
+        "residuals --b-min 3 --b-max 4 --out rows.csv --precision 113 --format text",
+        """\
+command: residuals
+parameters.b_max = 4
+parameters.b_min = 3
+parameters.geometric_step = None
+parameters.out = 'rows.csv'
+parameters.precision = 113
+values.intercept = 0.37452492806948157
+values.max_abs_delta = 0.3471955937224455
+values.rows = 2
+values.slope = -0.024876232160272394
+diagnostics.total_steps = 2
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", RESIDUALS_RENDERED)
+def test_residuals_rendered_output_is_pinned(capsys, tmp_path, monkeypatch, argv,
+                                             expected):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, argv.split())
+    assert code == 0
+    assert out == expected
+
+
+RESIDUALS_ROW_FILES = [
+    (
+        53,
+        """\
+b,c0_exact,c0_main_terms,delta
+3,0.19245008972987523,-0.15474550399257025,0.34719559372244546
+4,0.5000000000000001,0.15996085230021312,0.340039147699787
+""",
+        """\
+[
+  {
+    "b": 3,
+    "c0_exact": 0.19245008972987523,
+    "c0_main_terms": -0.15474550399257025,
+    "delta": 0.34719559372244546
+  },
+  {
+    "b": 4,
+    "c0_exact": 0.5000000000000001,
+    "c0_main_terms": 0.15996085230021312,
+    "delta": 0.340039147699787
+  },
+  {
+    "intercept": 0.37452492806948023,
+    "max_abs_delta": 0.34719559372244546,
+    "slope": -0.024876232160271235
+  }
+]
+""",
+    ),
+    (
+        113,
+        """\
+b,c0_exact,c0_main_terms,delta
+3,0.19245008972987526,-0.15474550399257028,0.3471955937224455
+4,0.5,0.15996085230021326,0.3400391476997867
+""",
+        """\
+[
+  {
+    "b": 3,
+    "c0_exact": 0.19245008972987526,
+    "c0_main_terms": -0.15474550399257028,
+    "delta": 0.3471955937224455
+  },
+  {
+    "b": 4,
+    "c0_exact": 0.5,
+    "c0_main_terms": 0.15996085230021326,
+    "delta": 0.3400391476997867
+  },
+  {
+    "intercept": 0.37452492806948157,
+    "max_abs_delta": 0.3471955937224455,
+    "slope": -0.024876232160272394
+  }
+]
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("precision, csv_rows, json_rows", RESIDUALS_ROW_FILES)
+def test_residuals_row_files_are_pinned(capsys, tmp_path, precision, csv_rows,
+                                        json_rows):
+    written = {}
+    for suffix in ("csv", "json"):
+        out_file = tmp_path / f"rows.{suffix}"
+        code, _, _ = run_cli(capsys, ["residuals", "--b-min", "3", "--b-max", "4",
+                                      "--precision", str(precision),
+                                      "--out", str(out_file)])
+        assert code == 0
+        written[suffix] = out_file.read_bytes().decode("utf-8")
+    assert written == {"csv": csv_rows, "json": json_rows}
+    # both files hold the same rows, bit for bit
+    header, *lines = written["csv"].splitlines()
+    fields = header.split(",")
+    from_csv = [dict(zip(fields, line.split(","))) for line in lines]
+    from_json = json.loads(written["json"])[:-1]
+    assert [set(row) for row in from_json] == [set(fields)] * len(from_csv)
+    for csv_row, json_row in zip(from_csv, from_json):
+        assert int(csv_row.pop("b")) == json_row.pop("b")
+        assert {key: float(value).hex() for key, value in csv_row.items()} == {
+            key: value.hex() for key, value in json_row.items()}
+
+
 # ------------------------------------------------------------ determinism
 
 
