@@ -176,10 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
+def _cmd_eval(args: argparse.Namespace,
+              cfg: PrecisionConfig) -> tuple[dict, dict, dict]:
     frac = ReducedFraction(args.h, args.k)
-    parameters = {"h": args.h, "k": args.k, "alpha": args.alpha,
-                  "precision": cfg.working_precision}
+    parameters = {"h": args.h, "k": args.k, "alpha": args.alpha}
     value = exact.c0(frac, cfg)
     values = {"c0": float(value)}
     diagnostics = {}
@@ -191,11 +191,11 @@ def _cmd_eval(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
         values["estermann_im"] = float(ev.imag_part)
         if cfg.extended:
             diagnostics["estermann_im_digits"] = _full_digits(ev.imag_part, cfg)
-    print(_render(args.format, "eval", parameters, values, diagnostics))
-    return EXIT_OK
+    return parameters, values, diagnostics
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
+def _cmd_verify(args: argparse.Namespace,
+                cfg: PrecisionConfig) -> tuple[dict, dict, dict]:
     if args.size is not None and args.size < 1:
         raise PreconditionError(f"--size must be positive, got {args.size}")
     cases, extra = checks.SUITES[args.suite](args.size, args.seed, cfg)
@@ -208,17 +208,14 @@ def _cmd_verify(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
         for name, ok, residue in cases:
             print(f"{'PASS' if ok else 'FAIL'} {args.suite} {name} "
                   f"residue={residue!r}")
-    parameters = {"suite": args.suite, "size": args.size, "seed": args.seed,
-                  "precision": cfg.working_precision}
+    parameters = {"suite": args.suite, "size": args.size, "seed": args.seed}
     values = {
         "cases": len(cases),
         "failed": len(failures),
         "max_residue": checks.worst_residue(res for _, _, res in cases),
         "passed": not failures,
     }
-    diagnostics = {"failed_cases": failures, **extra}
-    print(_render(args.format, "verify", parameters, values, diagnostics))
-    return EXIT_OK if not failures else EXIT_VERIFY_FAILED
+    return parameters, values, {"failed_cases": failures, **extra}
 
 
 def _residual_bs(b_min: int, b_max: int, step: float | None) -> list[int]:
@@ -250,7 +247,8 @@ def _residual_bs(b_min: int, b_max: int, step: float | None) -> list[int]:
     return bs
 
 
-def _cmd_residuals(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
+def _cmd_residuals(args: argparse.Namespace,
+                   cfg: PrecisionConfig) -> tuple[dict, dict, dict]:
     if args.b_min < 2 or args.b_min >= args.b_max:
         raise PreconditionError(
             f"need 2 <= b_min < b_max, got ({args.b_min}, {args.b_max})"
@@ -269,59 +267,27 @@ def _cmd_residuals(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
         raise PreconditionError(
             f"cannot write {args.out!r}: {err.strerror or err}"
         ) from err
-    parameters = {
-        "b_min": args.b_min,
-        "b_max": args.b_max,
-        "geometric_step": args.geometric_step,
-        "out": args.out,
-        "precision": cfg.working_precision,
-    }
-    values = {
-        "rows": len(records),
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "max_abs_delta": report.max_abs_delta,
-    }
-    print(_render(args.format, "residuals", parameters, values,
-                  {"total_steps": cost}))
-    return EXIT_OK
+    parameters = {"b_min": args.b_min, "b_max": args.b_max,
+                  "geometric_step": args.geometric_step, "out": args.out}
+    values = {"rows": len(records), **report._asdict()}
+    return parameters, values, {"total_steps": cost}
 
 
 def _write_residuals(path: str, records, report) -> None:
     """The rows as JSON, with a trailing summary, if path ends in .json; else CSV."""
-    if path.endswith(".json"):
-        rows = [
-            {
-                "b": r.b,
-                "c0_exact": float(r.c0_exact),
-                "c0_main_terms": float(r.c0_main_terms),
-                "delta": float(r.delta),
-            }
-            for r in records
-        ]
-        rows.append(
-            {
-                "slope": report.slope,
-                "intercept": report.intercept,
-                "max_abs_delta": report.max_abs_delta,
-            }
-        )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(rows, fh, sort_keys=True, indent=2)
+    fields = asymptotics.ResidualRecord._fields
+    rows = [dict(zip(fields, (r.b, *map(float, r[1:])))) for r in records]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if path.endswith(".json"):
+            json.dump([*rows, report._asdict()], fh, sort_keys=True, indent=2)
             fh.write("\n")
-        return
-    import csv  # only the CSV row file needs it
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["b", "c0_exact", "c0_main_terms", "delta"])
-        for r in records:
-            writer.writerow(
-                [r.b, repr(float(r.c0_exact)), repr(float(r.c0_main_terms)),
-                 repr(float(r.delta))]
-            )
+        else:  # the int b and float reprs never need CSV quoting
+            fh.write(",".join(fields) + "\n")
+            fh.writelines(",".join(map(repr, row.values())) + "\n" for row in rows)
 
 
-def _cmd_constants(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
+def _cmd_constants(args: argparse.Namespace,
+                   cfg: PrecisionConfig) -> tuple[dict, dict, dict]:
     try:
         bs = [int(part) for part in args.bs.split(",") if part.strip()]
     except ValueError as err:
@@ -350,9 +316,7 @@ def _cmd_constants(args: argparse.Namespace, cfg: PrecisionConfig) -> int:
     for b, est in zip(bs, estimates):
         values[f"r_{b}"] = float(est.value)
         diagnostics[f"r_{b}_tail_bound"] = est.tail_bound
-    parameters = {"K": args.K, "bs": bs, "precision": cfg.working_precision}
-    print(_render(args.format, "constants", parameters, values, diagnostics))
-    return EXIT_OK
+    return {"K": args.K, "bs": bs}, values, diagnostics
 
 
 _HANDLERS = {
@@ -371,10 +335,13 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         cfg = PrecisionConfig(args.precision)
-        return _HANDLERS[args.subcommand](args, cfg)
+        parameters, values, diagnostics = _HANDLERS[args.subcommand](args, cfg)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    parameters["precision"] = cfg.working_precision
+    print(_render(args.format, args.subcommand, parameters, values, diagnostics))
+    return EXIT_VERIFY_FAILED if values.get("passed") is False else EXIT_OK
 
 
 def entrypoint() -> None:

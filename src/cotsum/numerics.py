@@ -138,9 +138,11 @@ def _context(cfg: PrecisionConfig):
 
 
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """Euler-Mascheroni constant gamma = lim (H_n - log n) at working precision.
+    """Euler-Mascheroni constant gamma = lim (H_n - log n).
 
     In binary64 this is the literal that rounding the 61-bit value gives.
+    Above 53 bits it is an mpf rounded at ``p + 8`` bits, 8 guard bits over
+    the working precision ``p`` (121 bits at 113); ``c0_main_terms`` uses them.
     """
     if not cfg.extended:
         return 0.5772156649015329
@@ -149,10 +151,12 @@ def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG):
 
 
 def log_two_pi(cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """log(2*pi) at working precision.
+    """log(2*pi).
 
     In binary64 this is the literal that rounding the 61-bit value gives;
-    ``math.log(2 * math.pi)`` is 1 ulp below it.
+    ``math.log(2 * math.pi)`` is 1 ulp below it. Above 53 bits it is an mpf
+    rounded at ``p + 8`` bits, 8 guard bits over the working precision ``p``
+    (121 bits at 113); ``c0_main_terms`` uses them.
     """
     if not cfg.extended:
         return 1.8378770664093456

@@ -374,7 +374,8 @@ def _bare_interpreter_modules() -> set:
 
 def test_cli_starts_import_only_what_their_command_runs(tmp_path):
     # dataclasses (~8 ms with inspect and ast), fractions (~4 ms with decimal)
-    # and csv would cost every start; only the commands that use them pay.
+    # and csv would cost every start; only the commands that use them pay,
+    # and none uses csv.
     # A module the interpreter loads anyway (a site hook) cannot be told apart.
     modules = {"dataclasses", "fractions", "csv"} - _bare_interpreter_modules()
     for argv, loaded in (
@@ -383,7 +384,7 @@ def test_cli_starts_import_only_what_their_command_runs(tmp_path):
         (["verify", "--suite", "floor", "--size", "5"], set()),
         (["constants", "--K", "1000"], set()),
         (["residuals", "--b-min", "256", "--b-max", "1024", "--geometric-step", "2"],
-         {"csv"}),
+         set()),
         (["eval", "--h", "1", "--k", "5", "--alpha", "1"], {"fractions"}),
     ):
         for module in sorted(modules):

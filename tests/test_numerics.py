@@ -270,7 +270,7 @@ def test_sum_extended_matches_exact_rational_reference(cfg_ext):
     assert abs(got - exact) <= abs(exact) * Fraction(1, 2**105)
 
 
-def test_sum_extended_over_several_chunks_matches_one_fsum(cfg_ext):
+def test_sum_extended_matches_the_exact_sum_rounded_once(cfg_ext):
     # mixed signs and magnitudes 2^-120..2^-20 over 3 chunks of 4096 and a
     # tail, a float and an int among them, and a pair near 2^60 in the first
     # and last chunks that cancels: a partial rounded to 113 bits would lose
