@@ -256,12 +256,25 @@ def _r_terms_one_by_one(b, lo, hi, mt, real):
         )
 
 
-def _checkpoints_one_by_one(b, K, precision):
+def _r_terms_bracket(b, lo, hi, mt, real):
+    # the former 14-operation term k*(log1p(b/(kb-1)) - 1/k + 1/(2k^2) -
+    # 1/(bk^2)) over an int k, kept as the reference of the accuracy tests
+    for k in range(lo + 1, hi + 1):
+        kk = k * k
+        yield k * (
+            mt.log1p(real(b) / (k * b - 1))
+            - real(1) / k
+            + real(1) / (2 * kk)
+            - real(1) / (b * kk)
+        )
+
+
+def _checkpoints_one_by_one(b, K, precision, terms=_r_terms_one_by_one):
     ns = [K // 8, K // 4, K // 2, K]
 
     def partials(mt, real):
         segments = [
-            mt.fsum(_r_terms_one_by_one(b, lo, hi, mt, real))
+            mt.fsum(terms(b, lo, hi, mt, real))
             for lo, hi in zip([0] + ns, ns)
         ]
         return [mt.fsum(segments[: i + 1]) for i in range(len(ns))]
@@ -283,6 +296,31 @@ def test_r_checkpoints_match_the_term_by_term_sums_bitwise(b, precision):
     cfg = PrecisionConfig(working_precision=precision)
     for K in (100, 8 * chunk - 8, 8 * chunk, 8 * chunk + 8):
         assert _r_checkpoints(b, K, cfg) == _checkpoints_one_by_one(b, K, precision)
+
+
+_ACCURACY_BS = [2, 3, 100, 1000, 10**4, 2**40]
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+@pytest.mark.parametrize("b", _ACCURACY_BS)
+def test_r_checkpoints_agree_with_the_bracket_form(b, precision):
+    # each partial sum of n terms lies within n * 2^-p of the same sum of the
+    # former bracket form's terms; at b = 2^40, b*k passes 2^53 from k = 8193
+    K = 2 * 10**4
+    cfg = PrecisionConfig(working_precision=precision)
+    ns, partials = _r_checkpoints(b, K, cfg)
+    _, reference = _checkpoints_one_by_one(b, K, precision, _r_terms_bracket)
+    for n, got, want in zip(ns, partials, reference):
+        with mpmath.workprec(precision):
+            gap = abs(got - want)
+        assert gap <= n * 2.0**-precision
+
+
+@pytest.mark.parametrize("K", [2 * 10**4, 2 * 10**5])
+@pytest.mark.parametrize("b", _ACCURACY_BS)
+def test_r_series_lies_within_its_tail_bound_of_the_closed_form(b, K, cfg, cfg_ext):
+    est = r_series(b, K, cfg)
+    assert abs(est.value - r_closed_form(b, cfg_ext)) <= est.tail_bound
 
 
 # The first k with k*k past 2^53, so k*k is no longer an exact double
