@@ -186,29 +186,29 @@ def _neville_to_zero(xs: list[float], ys: list):
 
 
 def _r_terms(b: int, lo: int, hi: int, mt, real):
-    """Terms k = lo+1..hi of r(b), each k*(log(ratio) - 1/k + 1/(2k^2) - 1/(bk^2)).
+    """Terms k = lo+1..hi of r(b), each k*log1p(b/(kb-1)) - 1 + (1/2 - 1/b)/k.
 
-    The ratio ((k+1)b-1)/(kb-1) is 1 + b/(kb-1), so the log is taken by
-    ``log1p``.  The bracket is still O(1/k^3) against a log of O(1/k), so
-    each term carries an absolute rounding error of a few units of 2^-p at
-    working precision p.  The terms come from one generator; 1/(2k^2) is
-    formed as (1/2)/k^2, which rounds to the same value.
+    That is k*(log(ratio) - 1/k + 1/(2k^2) - 1/(bk^2)) with the ratio
+    ((k+1)b-1)/(kb-1) = 1 + b/(kb-1), so the log is taken by ``log1p`` and
+    c = 1/2 - 1/b is formed once: 8 operations a term, not 14.  k*log1p(...)
+    lies in [log 2, 1.1], so subtracting 1 is exact (Sterbenz), and each term
+    carries an absolute rounding error of a few units of 2^-p at working
+    precision p.  The terms come from one generator.
 
-    In binary64 k is a float, so no product is formed as a Python int.
-    While b*k < 2^53, k*b and k*b - 1 are exact, and k*k and (b*k)*k each
-    round once, to the double that rounding the integer product gives, so
-    every term has the bits of the integer form.  Past 2^53, k*b - 1 and
-    (b*k)*k can round twice, so a term can move by about one ulp, inside the
-    K * 2^-p rounding part of :func:`r_series`'s bound.  mpmath keeps k an
-    int: its products are exact below 2^p, and an mpf k costs more.
+    In binary64 k is a float, so no product is formed as a Python int.  Only
+    k*b and k*b - 1 must be exact for a term to have the bits of the int-k
+    form; while b*k < 2^53 they are.  Past 2^53, k*b - 1 can round twice, so
+    a term can move by about one ulp, inside the K * 2^-p rounding part of
+    :func:`r_series`'s bound.  mpmath keeps k an int: its products are exact
+    below 2^p, and an mpf k costs more.
     """
     log1p = mt.log1p
     one = real(1)
-    half = one / 2
     rb = real(b)
+    c = one / 2 - one / rb
     k_type = float if real is float else int
     return (
-        k * (log1p(rb / (k * rb - one)) - one / k + half / (k * k) - one / (rb * k * k))
+        k * log1p(rb / (k * rb - one)) - one + c / k
         for k in map(k_type, range(lo + 1, hi + 1))
     )
 
@@ -219,23 +219,50 @@ def _r_segment(b: int, lo: int, hi: int, cfg: PrecisionConfig):
         return sum_strategy(_r_terms(b, lo, hi, mt, real), cfg)
 
 
-def _r_checkpoints(b: int, K: int, cfg: PrecisionConfig):
-    """Partial sums of r(b) at n = K/8, K/4, K/2 and K, in one pass of K terms.
+def _r_checkpoints(bs: list[int], K: int, cfg: PrecisionConfig):
+    """Partial sums of each r(b), b in bs, at n = K/8, K/4, K/2 and K.
 
-    Returns ``(ns, partials)``.  Each segment between checkpoints is one
-    correctly rounded sum of its terms, and each partial sum one correctly
-    rounded sum of the segment sums before it.  The last segment, terms
-    K/2+1..K, is half the work: a forked child sums it while this process
-    sums the three before it (see :func:`numerics._in_child`; below its
-    break-even, or with one CPU, this process sums it too).
+    Returns ``(ns, partials)``, with ``partials[i]`` the four partial sums of
+    r(bs[i]).  Each segment between checkpoints is one correctly rounded sum
+    of its terms, and each partial sum one correctly rounded sum of the
+    segment sums before it.  The last segments, terms K/2+1..K of every b,
+    are half the work: one forked child sums them while this process sums
+    the three segments before them of every b (see :func:`numerics._in_child`;
+    below its break-even, or with one CPU, this process sums them too).
     A segment's sum is a pure function of (b, lo, hi, cfg), so the bits do
     not depend on which process computed it.
     """
     ns = [K // 8, K // 4, K // 2, K]
-    with _in_child(K - K // 2, _r_segment, b, K // 2, K, cfg) as upper:
-        segments = [_r_segment(b, lo, hi, cfg) for lo, hi in zip([0] + ns, ns[:3])]
-        segments.append(upper())
-    return ns, [sum_strategy(segments[: i + 1], cfg) for i in range(len(ns))]
+    with _in_child(
+        len(bs) * (K - K // 2), lambda: [_r_segment(b, K // 2, K, cfg) for b in bs]
+    ) as upper:
+        lower = [
+            [_r_segment(b, lo, hi, cfg) for lo, hi in zip([0] + ns, ns[:3])] for b in bs
+        ]
+        uppers = upper()
+    partials = []
+    for segments, top in zip(lower, uppers):
+        segments.append(top)
+        partials.append([sum_strategy(segments[: i + 1], cfg) for i in range(len(ns))])
+    return ns, partials
+
+
+def _r_estimates(bs: list[int], K: int, cfg: PrecisionConfig) -> list[ConstantEstimate]:
+    """:func:`r_series` of each b in bs, from one :func:`_r_checkpoints` call."""
+    if K < 100:
+        raise PreconditionError(f"need K >= 100, got {K}")
+    ns, partials = _r_checkpoints(bs, K, cfg)
+    rounding = K * 2.0 ** -cfg.working_precision
+    estimates = []
+    with _context(cfg) as (mt, pi, real):
+        xs = [real(1) / n for n in ns]
+        for sums in partials:
+            diag = _neville_to_zero(xs, sums)
+            step = abs(float(diag[-1] - diag[-2]))
+            estimates.append(
+                ConstantEstimate(value=diag[-1], tail_bound=step + rounding)
+            )
+    return estimates
 
 
 def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantEstimate:
@@ -247,21 +274,14 @@ def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantE
     diagonal step plus K * 2^-p, the rounding floor of K terms at working
     precision p; it is an estimate, nothing is certified.
 
-    With two CPUs usable, a forked child sums the terms K/2+1..K while this
+    With two CPUs usable, one forked child sums the terms K/2+1..K while this
     process sums the terms up to K/2 (see :func:`_r_checkpoints`).  Each of
     the four segments is one correctly rounded sum of the same terms
     wherever it runs, so the result has the same bits on one CPU or on many.
     """
     if b < 2:
         raise PreconditionError(f"need b >= 2, got {b}")
-    if K < 100:
-        raise PreconditionError(f"need K >= 100, got {K}")
-    ns, partials = _r_checkpoints(b, K, cfg)
-    with _context(cfg) as (mt, pi, real):
-        diag = _neville_to_zero([real(1) / n for n in ns], partials)
-        step = abs(float(diag[-1] - diag[-2]))
-    rounding = K * 2.0 ** -cfg.working_precision
-    return ConstantEstimate(value=diag[-1], tail_bound=step + rounding)
+    return _r_estimates([b], K, cfg)[0]
 
 
 def _check_bs(bs: list[int], fewest: int) -> None:
@@ -280,9 +300,11 @@ def estimate_C0(
 ) -> tuple[ConstantEstimate, list[ConstantEstimate]]:
     """Extract the main-term constant by extrapolating r(b) in 1/b to b = infinity.
 
-    Returns ``(constant, [r_series(b, K, cfg) for b in bs])``.  bs must be
-    three or more values of b >= 2, strictly increasing; it is checked before
-    anything is summed.
+    Returns ``(constant, [r_series(b, K, cfg) for b in bs])``, with the same
+    bits, but every r(b) comes from one pass that forks one child for the
+    upper halves of all of them (see :func:`_r_checkpoints`).  bs must be
+    three or more values of b >= 2, strictly increasing, and K >= 100; both
+    are checked before anything is summed.
 
     Richardson-style: polynomial extrapolation at nodes 1/b (two levels for
     three nodes), then subtraction of the structural offset 1 between the
@@ -296,7 +318,7 @@ def estimate_C0(
     plus the worst per-b tail bound.
     """
     _check_bs(bs, 3)
-    estimates = [r_series(b, K, cfg) for b in bs]
+    estimates = _r_estimates(bs, K, cfg)
     with _context(cfg) as (mt, pi, real):
         diag = _neville_to_zero([real(1) / b for b in bs], [e.value for e in estimates])
         value = diag[-1] - R_SERIES_OFFSET

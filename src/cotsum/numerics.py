@@ -214,12 +214,14 @@ def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
 
 
 # Fewest terms of work in a child for which its fork pays.  On a 2-vCPU Xeon
-# the fork, pipe and reaping cost about 1.9 ms, what 8k binary64 r(b) terms
-# do (r_series(100, K), medians of 61 alternated runs: K = 8000: 1.9 ms in one
-# process, 2.9-3.0 ms with the child; K = 12000: 2.7-2.8 and 3.2-3.7 ms;
-# K = 16384: level; K = 24576: 5.5 and 4.6-4.8 ms), so r(b)'s child pays from
-# K/2 = 2^13 up.  The identity suites fork at the same 2^13 terms.  mpmath's
-# terms cost more, so the child pays there too.
+# the fork, pipe and reaping cost about 2 ms, what 10k binary64 r(b) terms do
+# (r_series(100, K), medians of 61 alternated runs, four sets: K = 8000:
+# 1.5-2.2 ms in one process, 2.7-3.0 ms with the child; K = 12000: 2.3-3.1
+# and 3.2-4.3 ms; K = 16384: 3.0-3.6 and 3.6-4.7 ms; K = 24576: 4.2-6.7 and
+# 4.2-6.3 ms, the child faster in 34 to 49 of 61), so r(b)'s child pays from
+# about K/2 = 12k up.  That is below 2^14, and the identity suites fork at the
+# same 2^13 terms, so the constant stays.  mpmath's terms cost more, so the
+# child pays there too.
 _CHILD_MIN_TERMS = 1 << 13
 
 

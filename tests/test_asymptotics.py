@@ -236,7 +236,7 @@ def test_r_series_first_term_and_partial_oracle(cfg):
     for b in (2, 100):
         for k, term in enumerate(_r_terms(b, 0, 10, math, float), start=1):
             assert term == pytest.approx(r_term(k, b), rel=1e-12)
-    ns, partials = _r_checkpoints(2, 100, cfg)
+    ns, (partials,) = _r_checkpoints([2], 100, cfg)
     oracle = math.fsum(r_term(k, 2) for k in range(1, 101))
     assert ns[-1] == 100
     assert partials[-1] == pytest.approx(oracle, rel=1e-12)
@@ -246,14 +246,9 @@ def test_r_series_first_term_and_partial_oracle(cfg):
 
 def _r_terms_one_by_one(b, lo, hi, mt, real):
     # the term expression with every product formed from an int k
+    c = real(1) / 2 - real(1) / b
     for k in range(lo + 1, hi + 1):
-        kk = k * k
-        yield k * (
-            mt.log1p(real(b) / (k * b - 1))
-            - real(1) / k
-            + real(1) / (2 * kk)
-            - real(1) / (b * kk)
-        )
+        yield k * mt.log1p(real(b) / (k * b - 1)) - real(1) + c / k
 
 
 def _r_terms_bracket(b, lo, hi, mt, real):
@@ -285,6 +280,11 @@ def _checkpoints_one_by_one(b, K, precision, terms=_r_terms_one_by_one):
         return ns, partials(mpmath, mpmath.mpf)
 
 
+def _one_b_checkpoints(b, K, cfg):
+    ns, (partials,) = _r_checkpoints([b], K, cfg)
+    return ns, partials
+
+
 @pytest.mark.parametrize("precision", [53, 113])
 @pytest.mark.parametrize("b", [2, 1000])
 def test_r_checkpoints_match_the_term_by_term_sums_bitwise(b, precision):
@@ -295,7 +295,7 @@ def test_r_checkpoints_match_the_term_by_term_sums_bitwise(b, precision):
     chunk = 1 << 12 if precision == 53 else 1 << 6
     cfg = PrecisionConfig(working_precision=precision)
     for K in (100, 8 * chunk - 8, 8 * chunk, 8 * chunk + 8):
-        assert _r_checkpoints(b, K, cfg) == _checkpoints_one_by_one(b, K, precision)
+        assert _one_b_checkpoints(b, K, cfg) == _checkpoints_one_by_one(b, K, precision)
 
 
 _ACCURACY_BS = [2, 3, 100, 1000, 10**4, 2**40]
@@ -308,7 +308,7 @@ def test_r_checkpoints_agree_with_the_bracket_form(b, precision):
     # former bracket form's terms; at b = 2^40, b*k passes 2^53 from k = 8193
     K = 2 * 10**4
     cfg = PrecisionConfig(working_precision=precision)
-    ns, partials = _r_checkpoints(b, K, cfg)
+    ns, partials = _one_b_checkpoints(b, K, cfg)
     _, reference = _checkpoints_one_by_one(b, K, precision, _r_terms_bracket)
     for n, got, want in zip(ns, partials, reference):
         with mpmath.workprec(precision):
@@ -400,7 +400,7 @@ def test_r_series_has_the_same_bits_with_and_without_the_child(precision, monkey
             for cpus in (1, 2):
                 monkeypatch.setattr(numerics, "_cpus", lambda: cpus)
                 before = len(pids)
-                results.append((_r_checkpoints(b, K, cfg), r_series(b, K, cfg)))
+                results.append((_one_b_checkpoints(b, K, cfg), r_series(b, K, cfg)))
                 forked = cpus == 2 and K - K // 2 >= least
                 assert len(pids) - before == (2 if forked else 0)
             assert results[0] == results[1]
@@ -518,6 +518,35 @@ def test_a_live_thread_keeps_the_upper_half_in_process(cfg, monkeypatch):
     assert got == expected
 
 
+@pytest.mark.parametrize("path", ["child", "refused", "silent"])
+def test_estimate_c0_forks_one_child_for_every_b(path, cfg, monkeypatch):
+    # one child sums the upper halves of all three r(b), and the bits are
+    # those of one CPU, also when the fork is refused or the child writes
+    # nothing; each r(b) keeps the bits of its own r_series
+    bs, K = [100, 1000, 10000], 2 * numerics._CHILD_MIN_TERMS
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_cpus", lambda: 1)
+        expected = estimate_C0(bs, K, cfg)
+        assert expected[1] == [r_series(b, K, cfg) for b in bs]
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    pids = _forks(monkeypatch)
+    if path == "refused":
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    if path == "silent":
+        parent = os.getpid()
+        segment = asymptotics._r_segment
+
+        def silent_in_the_child(b, lo, hi, cfg):
+            if os.getpid() != parent:
+                os._exit(0)
+            return segment(b, lo, hi, cfg)
+
+        monkeypatch.setattr(asymptotics, "_r_segment", silent_in_the_child)
+    assert estimate_C0(bs, K, cfg) == expected
+    assert len(pids) == (0 if path == "refused" else 1)
+    _assert_reaped(pids)
+
+
 def test_r_series_converges_to_offset_constant(cfg):
     # r(b) -> 1 + (gamma - log(2*pi))/2 as b grows; at b = 10^4 the defect is
     # O(1/b) and the truncation tail is ~1/(3K)
@@ -599,6 +628,14 @@ def test_estimate_c0_preconditions(cfg):
         estimate_C0([1000, 2000], 10**4, cfg)
     with pytest.raises(PreconditionError):
         estimate_C0([2000, 1000, 100], 10**4, cfg)
+
+
+def test_estimate_c0_checks_K_before_it_sums(cfg, monkeypatch):
+    summed = []
+    monkeypatch.setattr(asymptotics, "_r_segment", lambda *args: summed.append(args))
+    with pytest.raises(PreconditionError):
+        estimate_C0([100, 1000, 10000], 99, cfg)
+    assert summed == []
 
 
 def test_estimate_c0_reaches_the_extrapolation_floor(cfg):

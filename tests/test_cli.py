@@ -660,8 +660,8 @@ def test_constants_rejects_a_repeated_b_before_summing(capsys, monkeypatch):
 
 
 def test_constants_reproduces_the_recorded_bits(capsys):
-    # reprs recorded when r(b) still summed its terms one generator step at a
-    # time; a rewrite of r(b) that keeps the bits keeps these
+    # reprs recorded from the 8-operation term k*log1p(b/(kb-1)) - 1 +
+    # (1/2 - 1/b)/k; a rewrite of r(b) that keeps the bits keeps these
     code, out, _ = run_cli(
         capsys, ["constants", "--K", "20000", "--bs", "100,1000,10000"]
     )
@@ -669,10 +669,10 @@ def test_constants_reproduces_the_recorded_bits(capsys):
     vals = json.loads(out)["values"]
     assert {key: repr(vals[key]) for key in
             ("r_100", "r_1000", "r_10000", "C0_estimate")} == {
-        "r_100": "0.35975194936178817",
-        "r_1000": "0.3686701221140458",
-        "r_10000": "0.36956930747115996",
-        "C0_estimate": "-0.6303307003501946",
+        "r_100": "0.3597519493617796",
+        "r_1000": "0.36867012211405736",
+        "r_10000": "0.3695693074711665",
+        "C0_estimate": "-0.6303307003501886",
     }
 
 
@@ -773,7 +773,7 @@ parameters.precision = 53
 values.closed_form_C0 = -0.6303307007539063
 values.euler_gamma = 0.5772156649015329
 values.log_two_pi = 1.8378770664093456
-values.r_2 = 0.15342640971962748
+values.r_2 = 0.15342640971962737
 diagnostics.extrapolation = 'skipped: need at least 3 values of b'
 diagnostics.r_2_tail_bound = 1.4380763246890638e-10
 """,

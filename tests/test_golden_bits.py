@@ -116,9 +116,9 @@ GOLDEN = {
     "estermann_odd@53": (("float", "-0x1.1111111111111p-8"), ("float", "0x0.0p+0")),
     "estermann_odd@113": (("mpf", (1, 5538449982437149470432529417834769, -120, 113)),
                           ("mpf", (0, 0, 0, 0))),
-    "estimate_C0@53": (("float", "-0x1.42b348c52d5b7p-1"),
-                       ("float", "0x1.d83ee0c25f4cdp-14")),
-    "estimate_C0@113": (("mpf", (1, 818142531844886857464523170445721, -110, 110)),
+    "estimate_C0@53": (("float", "-0x1.42b348c52d5d8p-1"),
+                       ("float", "0x1.d83ee0c25f99ap-14")),
+    "estimate_C0@113": (("mpf", (1, 3272570127379547429858092681782853, -112, 112)),
                         ("float", "0x1.d83ee0c0d86d8p-14")),
     "euler_gamma@53": ("float", "0x1.2788cfc6fb619p-1"),
     "euler_gamma@113": ("mpf", (0, 1534502442785444268401093204211049879, -121, 121)),
@@ -191,9 +191,9 @@ GOLDEN = {
                                   (0, 6062302533371192139879965441866295, -114, 113)),
     "log_two_pi@53": ("float", "0x1.d67f1c864beb5p+0"),
     "log_two_pi@113": ("mpf", (0, 2442957649482355028246220439649006145, -120, 121)),
-    "r_series@53": (("float", "0x1.1d00f54e9e218p-2"),
-                    ("float", "0x1.48c3582400000p-23")),
-    "r_series@113": (("mpf", (0, 5780562655911104553622970117772417, -114, 113)),
+    "r_series@53": (("float", "0x1.1d00f54e9e21fp-2"),
+                    ("float", "0x1.48c3582a00000p-23")),
+    "r_series@113": (("mpf", (0, 2890281327955552276811485058886245, -113, 112)),
                      ("float", "0x1.48c355107ff5fp-23")),
     "s_sum_asymptotic@53": ("float", "0x1.6029e0cba92a2p+7"),
     "s_sum_asymptotic@113": ("mpf", (0, 7142726106001471311919033151697181, -105, 113)),
@@ -259,10 +259,10 @@ CONSTANTS_STDOUT = """\
 {
   "command": "constants",
   "diagnostics": {
-    "C0_tail_bound": 8.49162556937344e-10,
-    "r_10000_tail_bound": 2.2217339079588783e-11,
-    "r_1000_tail_bound": 2.2212010009070582e-11,
-    "r_100_tail_bound": 2.221106631949965e-11
+    "C0_tail_bound": 8.491629432949566e-10,
+    "r_10000_tail_bound": 2.22177276576474e-11,
+    "r_1000_tail_bound": 2.220790218387947e-11,
+    "r_100_tail_bound": 2.220662542740115e-11
   },
   "parameters": {
     "K": 200000,
@@ -274,14 +274,14 @@ CONSTANTS_STDOUT = """\
     "precision": 53
   },
   "values": {
-    "C0_estimate": -0.6303307003500811,
-    "C0_gap": 4.038251955051919e-10,
+    "C0_estimate": -0.630330700350115,
+    "C0_gap": 4.0379133370294085e-10,
     "closed_form_C0": -0.6303307007539063,
     "euler_gamma": 0.5772156649015329,
     "log_two_pi": 1.8378770664093456,
-    "r_100": 0.359751949361816,
-    "r_1000": 0.3686701221141481,
-    "r_10000": 0.3695693074712722
+    "r_100": 0.3597519493617844,
+    "r_1000": 0.3686701221141299,
+    "r_10000": 0.36956930747124006
   }
 }
 """
