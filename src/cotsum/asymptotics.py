@@ -24,7 +24,7 @@ from .numerics import (
     PreconditionError,
     ReducedFraction,
     _context,
-    _in_child,
+    _in_two,
     euler_gamma,
     log_two_pi,
     sum_strategy,
@@ -227,22 +227,23 @@ def _r_checkpoints(bs: list[int], K: int, cfg: PrecisionConfig):
     of its terms, and each partial sum one correctly rounded sum of the
     segment sums before it.  The last segments, terms K/2+1..K of every b,
     are half the work: one forked child sums them while this process sums
-    the three segments before them of every b (see :func:`numerics._in_child`;
+    the three segments before them of every b (see :func:`numerics._in_two`;
     below its break-even, or with one CPU, this process sums them too).
     A segment's sum is a pure function of (b, lo, hi, cfg), so the bits do
     not depend on which process computed it.
     """
     ns = [K // 8, K // 4, K // 2, K]
-    with _in_child(
-        len(bs) * (K - K // 2), lambda: [_r_segment(b, K // 2, K, cfg) for b in bs]
-    ) as upper:
-        lower = [
-            [_r_segment(b, lo, hi, cfg) for lo, hi in zip([0] + ns, ns[:3])] for b in bs
-        ]
-        uppers = upper()
+
+    def segment_sums(item):
+        b, bounds = item
+        return [_r_segment(b, lo, hi, cfg) for lo, hi in zip(bounds, bounds[1:])]
+
+    # each b's lower bounds, then its upper ones: the child gets every upper half
+    items = [(b, bounds) for b in bs for bounds in ([0] + ns[:3], ns[2:])]
+    sums = _in_two(segment_sums, items, len(bs) * (K - K // 2))
     partials = []
-    for segments, top in zip(lower, uppers):
-        segments.append(top)
+    for lower, upper in zip(sums[::2], sums[1::2]):
+        segments = lower + upper
         partials.append([sum_strategy(segments[: i + 1], cfg) for i in range(len(ns))])
     return ns, partials
 

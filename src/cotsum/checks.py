@@ -2,11 +2,8 @@
 
 Each suite maps ``(size, seed, cfg)`` (``size=None`` for its default) to
 ``(cases, extra)``: ``(case, passed, residue)`` tuples and named worst residues.
-``exact`` and ``asymptotics`` are called through their modules, so a tracer that
-patches a function there sees these calls too, but only those made in this
-process.  ``floor`` and ``prop1`` compute the rows of b = 2, 4, 6, ... here
-and, when that half is large enough to pay for a fork, the rows of
-b = 3, 5, 7, ... in a forked child, whose calls such a tracer does not see.
+``floor`` and ``prop1`` compute one row per b, the rows of b = 3, 5, 7, ...
+in a forked child when that half pays for a fork (``numerics._in_two``).
 ``prop1`` makes the seeded draws of every b here, before the fork, so the
 child reads the draws of its b from what it inherits.
 Every identity call for one b reads the same cached row set of that b
@@ -22,7 +19,7 @@ import random
 from array import array
 
 from . import asymptotics, exact
-from .numerics import PrecisionConfig, _in_child
+from .numerics import PrecisionConfig, _in_two
 
 DEFAULT_SEED = 927227
 
@@ -46,23 +43,6 @@ def worst_residue(residues) -> float:
 
 def _worst(cases) -> float:
     return worst_residue(residue for _, _, residue in cases)
-
-
-def _split_b(rows, bs: range, child_terms: int, *args) -> list:
-    """``rows(bs, *args)``, the rows of ``bs[1::2]`` computed in a forked child.
-
-    This process computes the rows of ``bs[::2]`` meanwhile, and the two
-    lists are interleaved back into b order: any cost that grows smoothly in b
-    is then split about evenly.  ``child_terms``, the child's share of
-    identity terms, decides whether the fork pays (see
-    :func:`numerics._in_child`).  Each row is a pure function of b and
-    ``args``, so the bits do not depend on where it ran.
-    """
-    with _in_child(child_terms, rows, bs[1::2], *args) as odd:
-        out = [None] * len(bs)
-        out[::2] = rows(bs[::2], *args)
-        out[1::2] = odd()
-    return out
 
 
 def _prop1_draws(seed: int, last_b: int) -> dict:
@@ -89,21 +69,18 @@ def _prop1_draws(seed: int, last_b: int) -> dict:
     return draws
 
 
-def _prop1_rows(bs: range, draws: dict, cfg: PrecisionConfig) -> list:
-    """``(max_cos, max_frac)`` per b of bs, over the draws of b."""
-    rows = []
-    for b in bs:
-        d = draws[b]
-        cos_b = [
-            abs(float(exact.cot_cos_identity_residual(a, b, n, cfg)))
-            for a, n in zip(d[0::4], d[1::4])
-        ]
-        frac_b = [
-            abs(float(exact.frac_via_cot_sin(a, b, n, cfg)) - ((n * a) % b) / b)
-            for a, n in zip(d[2::4], d[3::4])
-        ]
-        rows.append((worst_residue(cos_b), worst_residue(frac_b)))
-    return rows
+def _prop1_row(b: int, draws: dict, cfg: PrecisionConfig) -> tuple:
+    """``(max_cos, max_frac)`` of b, over the draws of b."""
+    d = draws[b]
+    cos_b = [
+        abs(float(exact.cot_cos_identity_residual(a, b, n, cfg)))
+        for a, n in zip(d[0::4], d[1::4])
+    ]
+    frac_b = [
+        abs(float(exact.frac_via_cot_sin(a, b, n, cfg)) - ((n * a) % b) / b)
+        for a, n in zip(d[2::4], d[3::4])
+    ]
+    return worst_residue(cos_b), worst_residue(frac_b)
 
 
 def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
@@ -111,7 +88,8 @@ def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
     bs = range(2, size + 1)
     # per b, two identities of b - 1 terms for each of the 20 draws
     child_terms = 40 * sum(b - 1 for b in bs[1::2])
-    rows = _split_b(_prop1_rows, bs, child_terms, _prop1_draws(seed, size), cfg)
+    draws = _prop1_draws(seed, size)
+    rows = _in_two(lambda b: _prop1_row(b, draws, cfg), bs, child_terms)
     cases = []
     for b, (max_cos, max_frac) in zip(bs, rows):
         # a nan maximum fails both comparisons
@@ -124,26 +102,23 @@ def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
     return cases, extra
 
 
-def _floor_rows(bs: range, cfg: PrecisionConfig) -> list:
-    """``(max_im, max_round)`` per b of bs over a = 1..1000, class by class.
+def _floor_row(b: int, cfg: PrecisionConfig) -> tuple:
+    """``(max_im, max_round)`` of b over a = 1..1000, class by class.
 
     The a of class s are s, s + b, ..., whose floor(a/b) are 0, 1, ...;
     those of class 0 are b, 2b, ..., whose floors are 1, 2, ...
     """
     last_a = 1000
-    rows = []
-    for b in bs:
-        # the classes of a = 1..last_a: no class 0 past b = last_a
-        classes = range(0 if b <= last_a else 1, min(b, last_a + 1))
-        sums = exact._floor_class_sums(b, classes, cfg)
-        max_im = worst_residue([abs(float(im)) for _, im in sums.values()])
-        rounding = []
-        for s, (re, _) in sums.items():
-            first = s or b
-            reals = exact._floor_reals(b, range(first, last_a + 1, b), re, cfg)
-            rounding += [abs(float(x) - q) for q, x in enumerate(reals, first // b)]
-        rows.append((max_im, worst_residue(rounding)))
-    return rows
+    # the classes of a = 1..last_a: no class 0 past b = last_a
+    classes = range(0 if b <= last_a else 1, min(b, last_a + 1))
+    sums = exact._floor_class_sums(b, classes, cfg)
+    max_im = worst_residue([abs(float(im)) for _, im in sums.values()])
+    rounding = []
+    for s, (re, _) in sums.items():
+        first = s or b
+        reals = exact._floor_reals(b, range(first, last_a + 1, b), re, cfg)
+        rounding += [abs(float(x) - q) for q, x in enumerate(reals, first // b)]
+    return max_im, worst_residue(rounding)
 
 
 def floor(size: int | None, seed: int, cfg: PrecisionConfig):
@@ -152,7 +127,7 @@ def floor(size: int | None, seed: int, cfg: PrecisionConfig):
     # per b, two sums of b - 1 terms for each of the b residue classes of a;
     # a class and its conjugate b - s share their products, not their terms
     child_terms = 2 * sum(b * (b - 1) for b in bs[1::2])
-    rows = _split_b(_floor_rows, bs, child_terms, cfg)
+    rows = _in_two(lambda b: _floor_row(b, cfg), bs, child_terms)
     cases = []
     for b, (max_im, max_round) in zip(bs, rows):
         # on the binary64 residues; a nan maximum fails both comparisons

@@ -11,8 +11,8 @@ function runs its arithmetic in one ``with _context(cfg) as (mt, pi, real)``
 block.  ``mpmath`` is imported only by the extended mode, so a binary64 run
 never pays for its import.  All operations are pure functions of their
 arguments; the extended mode serialises around the shared mpmath context with
-a re-entrant lock so concurrent callers stay safe.  ``_in_child`` runs one
-such function in a forked child, beside the caller's own work.
+a re-entrant lock so concurrent callers stay safe.  ``_in_two`` maps one
+such function over a list, half of the list in a forked child.
 """
 
 from __future__ import annotations
@@ -232,23 +232,23 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _in_child(child_terms: int, fn, *args):
-    """``with _in_child(child_terms, fn, *args) as result:`` runs fn(*args) aside.
+def _in_two(fn, items, child_terms: int) -> list:
+    """``[fn(x) for x in items]``, the values of ``items[1::2]`` from a forked child.
 
-    On entry a forked child starts computing fn(*args), so the work the
-    caller does inside the block runs beside it on a second CPU; ``result()``
-    returns the child's value, read through a pipe.  fn runs in this process
-    instead, when ``result()`` is called, if ``child_terms``, the caller's
-    estimate of fn's work in terms, is below ``_CHILD_MIN_TERMS``,
-    ``os.fork`` is missing, fewer than 2 CPUs are usable, another thread is
-    alive (a fork would copy any lock that thread holds, ``_MP_LOCK``
-    included), or ``os.pipe`` or ``os.fork`` fails.  If the child delivers
-    no complete result, ``result()`` computes fn(*args) here, so an
-    exception in fn surfaces in this process.
-    fn must be a pure function of its arguments: then every path gives the
-    same bits.  On leaving the block the child is killed and reaped, also
-    when the block raises.  Enter the block outside any ``_context`` block.
+    The child computes the values of ``items[1::2]`` while this process
+    computes those of ``items[::2]``, and the child's list comes back
+    through a pipe; interleaving splits any cost that grows smoothly along
+    ``items`` about evenly.  Everything runs here instead if
+    ``child_terms``, the caller's estimate of the child's work in terms, is
+    below ``_CHILD_MIN_TERMS``, ``os.fork`` is missing, fewer than 2 CPUs
+    are usable, another thread is alive (a fork would copy any lock that
+    thread holds, ``_MP_LOCK`` included), or ``os.pipe`` or ``os.fork``
+    fails.  If the child delivers no complete result, its values are
+    computed here, so an exception in fn surfaces in this process.
+    fn must be a pure function of its argument: then every path gives the
+    same bits.  The child is killed and reaped before this returns, also
+    when this process's own half raises.  Call it outside any ``_context``
+    block.
     """
     pid = None
     if (
@@ -263,37 +263,35 @@ def _in_child(child_terms: int, fn, *args):
         try:
             fds = read_fd, write_fd = os.pipe()
             pid = os.fork()
-        except OSError:  # EAGAIN, ENOMEM or EMFILE: no child, fn runs here
+        except OSError:  # EAGAIN, ENOMEM or EMFILE: no child, all runs here
             for fd in fds:
                 os.close(fd)
     if pid is None:
-        yield lambda: fn(*args)
-        return
+        return [fn(x) for x in items]
     if pid == 0:
         try:
             os.close(read_fd)
-            data = pickle.dumps(fn(*args))
+            data = pickle.dumps([fn(x) for x in items[1::2]])
             while data:
                 data = data[os.write(write_fd, data):]
         finally:
             os._exit(0)
     os.close(write_fd)
-
-    def result():
+    out = [None] * len(items)
+    try:
+        out[::2] = [fn(x) for x in items[::2]]
         data = b""
         while chunk := os.read(read_fd, 1 << 16):
             data += chunk
-        try:
-            return pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError):
-            return fn(*args)
-
-    try:
-        yield result
     finally:
         os.close(read_fd)
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+    try:
+        out[1::2] = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        out[1::2] = [fn(x) for x in items[1::2]]
+    return out
 
 
 def _exact_parts(x) -> list[float]:

@@ -54,22 +54,22 @@ def test_suites_have_the_same_bits_on_one_cpu_and_two(
 
 
 @pytest.mark.parametrize(
-    "suite, rows", [("floor", "_floor_rows"), ("prop1", "_prop1_rows")]
+    "suite, row", [("floor", "_floor_row"), ("prop1", "_prop1_row")]
 )
 def test_a_child_that_writes_nothing_leaves_the_suite_bits_alone(
-    suite, rows, cfg, monkeypatch
+    suite, row, cfg, monkeypatch
 ):
     expected = _serial(suite, None, cfg, monkeypatch)
     parent = os.getpid()
-    compute = getattr(checks, rows)
+    compute = getattr(checks, row)
 
-    def silent_in_the_child(bs, *args):
+    def silent_in_the_child(b, *args):
         if os.getpid() != parent:
             os._exit(0)
-        return compute(bs, *args)
+        return compute(b, *args)
 
     monkeypatch.setattr(numerics, "_cpus", lambda: 2)
-    monkeypatch.setattr(checks, rows, silent_in_the_child)
+    monkeypatch.setattr(checks, row, silent_in_the_child)
     pids = _forks(monkeypatch)
     assert checks.SUITES[suite](None, checks.DEFAULT_SEED, cfg) == expected
     assert len(pids) == 1
@@ -78,11 +78,9 @@ def test_a_child_that_writes_nothing_leaves_the_suite_bits_alone(
 
 # Each row computed on its own, for one b; a suite's case for b carries it.
 ROW_OF = {
-    "floor": lambda b, cfg: checks._floor_rows(range(b, b + 1), cfg)[0][0],
+    "floor": lambda b, cfg: checks._floor_row(b, cfg)[0],
     "prop1": lambda b, cfg: checks.worst_residue(
-        checks._prop1_rows(
-            range(b, b + 1), checks._prop1_draws(checks.DEFAULT_SEED, b), cfg
-        )[0]
+        checks._prop1_row(b, checks._prop1_draws(checks.DEFAULT_SEED, b), cfg)
     ),
 }
 
@@ -121,4 +119,4 @@ def test_a_row_past_b_1000_has_no_class_0(cfg):
     # conjugates 1002 and 1001
     b = 1003
     expected = _floor_row_oracle(b, cfg.working_precision)
-    assert checks._floor_rows(range(b, b + 1), cfg) == [expected]
+    assert checks._floor_row(b, cfg) == expected

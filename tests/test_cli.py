@@ -635,7 +635,7 @@ def test_constants_rejects_bad_bs(capsys):
 def test_constants_checks_bs_before_summing(capsys, monkeypatch):
     summed = []
     monkeypatch.setattr(
-        cotsum.asymptotics, "r_series", lambda *args: summed.append(args)
+        cotsum.asymptotics, "_r_segment", lambda *args: summed.append(args)
     )
     for bs in ("1000,100,10", "100,100,1000", "1000,100"):
         code, out, err = run_cli(capsys, ["constants", "--K", "100000", "--bs", bs])
@@ -648,7 +648,7 @@ def test_constants_checks_bs_before_summing(capsys, monkeypatch):
 def test_constants_rejects_a_repeated_b_before_summing(capsys, monkeypatch):
     summed = []
     monkeypatch.setattr(
-        cotsum.asymptotics, "r_series", lambda *args: summed.append(args)
+        cotsum.asymptotics, "_r_segment", lambda *args: summed.append(args)
     )
     for bs in ("100,100", "7,7"):
         code, out, err = run_cli(capsys, ["constants", "--K", "1000", "--bs", bs])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from mpmath.libmp import from_rational, round_nearest
+from test_asymptotics import _assert_reaped, _forks, _open_fds, _refuse_fork
 
 from cotsum import (
     CapacityError,
@@ -32,7 +33,7 @@ from cotsum.numerics import (
     _MP_LOCK,
     _context,
     _exact_parts,
-    _in_child,
+    _in_two,
 )
 
 ULP = 2.0**-52
@@ -463,12 +464,12 @@ def test_reduced_fraction_accepts_exactly_the_coprime_pairs(h, k):
             ReducedFraction(h, k)
 
 
-# ---------------------------------------------------------------- _in_child
+# ------------------------------------------------------------------ _in_two
 
 
-def test_in_child_raises_the_error_of_fn_here(monkeypatch):
-    # the child fails without writing; the error surfaces when result()
-    # computes fn here, and the child is reaped
+def test_in_two_raises_the_error_of_fn_here(monkeypatch):
+    # the child fails on its item without writing; the error surfaces when
+    # its value is computed here, and the child is reaped
     calls, pids = [], []
     fork = os.fork
 
@@ -479,15 +480,60 @@ def test_in_child_raises_the_error_of_fn_here(monkeypatch):
         return pid
 
     def failing(x):
-        calls.append(os.getpid())
-        raise ValueError(x)
+        calls.append((os.getpid(), x))
+        if x == "boom":
+            raise ValueError(x)
+        return x
 
     monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(numerics, "_cpus", lambda: 2)
     with pytest.raises(ValueError, match="boom"):
-        with _in_child(numerics._CHILD_MIN_TERMS, failing, "boom") as result:
-            result()
-    assert calls == [os.getpid()]
+        _in_two(failing, ["fine", "boom"], numerics._CHILD_MIN_TERMS)
+    assert calls == [(os.getpid(), "fine"), (os.getpid(), "boom")]
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
+
+
+def _value(x):
+    # a pure function whose values carry their item, so an interleaving
+    # error shows as a misplaced value
+    return x, math.sqrt(x) / 3
+
+
+@pytest.mark.parametrize(
+    "path", ["child", "one cpu", "refused", "silent", "too small"]
+)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 28])
+@pytest.mark.parametrize("as_list", [True, False])
+def test_in_two_is_the_map_of_fn_on_every_path(path, n, as_list, monkeypatch):
+    items = list(range(n)) if as_list else range(n)
+    parent, here = os.getpid(), []
+
+    def fn(x):
+        if os.getpid() != parent:
+            if path == "silent":
+                os._exit(0)
+        else:
+            here.append(x)
+        return _value(x)
+
+    monkeypatch.setattr(numerics, "_cpus", lambda: 1 if path == "one cpu" else 2)
+    pids = _forks(monkeypatch)
+    if path == "refused":
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    fds = _open_fds()
+    least = numerics._CHILD_MIN_TERMS
+    got = _in_two(fn, items, least - 1 if path == "too small" else least)
+    assert type(got) is list
+    assert got == [_value(x) for x in items]
+    assert _open_fds() == fds
+    assert len(pids) == (1 if path in ("child", "silent") else 0)
+    _assert_reaped(pids)
+    # on the child path this process computed only the even-indexed values
+    expected_here = {
+        "child": list(items[::2]),
+        "silent": list(items[::2]) + list(items[1::2]),
+    }.get(path, list(items))
+    assert here == expected_here
+
