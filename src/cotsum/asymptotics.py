@@ -197,10 +197,10 @@ def _r_terms(b: int, lo: int, hi: int, mt, real):
 
     In binary64 k is a float, so no product is formed as a Python int.  Only
     k*b and k*b - 1 must be exact for a term to have the bits of the int-k
-    form; while b*k < 2^53 they are.  Past 2^53, k*b - 1 can round twice, so
-    a term can move by about one ulp, inside the K * 2^-p rounding part of
-    :func:`r_series`'s bound.  mpmath keeps k an int: its products are exact
-    below 2^p, and an mpf k costs more.
+    form; while b*k < 2^53 they are.  Past 2^53, k*b and k*b - 1 can each
+    round, so a term can move by up to about 2^-52, which :func:`r_series`'s
+    bound counts for each such term.  mpmath keeps k an int: its products are
+    exact below 2^p, and an mpf k costs more.
     """
     log1p = mt.log1p
     one = real(1)
@@ -248,41 +248,51 @@ def _r_checkpoints(bs: list[int], K: int, cfg: PrecisionConfig):
     return ns, partials
 
 
-def _r_estimates(bs: list[int], K: int, cfg: PrecisionConfig) -> list[ConstantEstimate]:
-    """:func:`r_series` of each b in bs, from one :func:`_r_checkpoints` call."""
-    if K < 100:
-        raise PreconditionError(f"need K >= 100, got {K}")
-    ns, partials = _r_checkpoints(bs, K, cfg)
-    rounding = K * 2.0 ** -cfg.working_precision
-    estimates = []
-    with _context(cfg) as (mt, pi, real):
-        xs = [real(1) / n for n in ns]
-        for sums in partials:
-            diag = _neville_to_zero(xs, sums)
-            step = abs(float(diag[-1] - diag[-2]))
-            estimates.append(
-                ConstantEstimate(value=diag[-1], tail_bound=step + rounding)
-            )
-    return estimates
-
-
-def r_series(b: int, K: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConstantEstimate:
-    """Block-correction series r(b), extrapolated from partial sums up to K.
+def r_series(
+    bs: list[int], K: int, cfg: PrecisionConfig = DEFAULT_CONFIG
+) -> list[ConstantEstimate]:
+    """Block-correction series r(b) of each b in bs, extrapolated from sums up to K.
 
     Terms decay like 1/k^2 and have an expansion in 1/k, so the tail beyond n
     has one in 1/n.  The partial sums at n = K/8, K/4, K/2 and K are
     extrapolated to 1/n = 0 by Neville's scheme.  ``tail_bound`` is the last
     diagonal step plus K * 2^-p, the rounding floor of K terms at working
-    precision p; it is an estimate, nothing is certified.
+    precision p, plus 13 * 2^-p for each k <= K with b*k >= 2^p; it is an
+    estimate, nothing is certified.
 
-    With two CPUs usable, one forked child sums the terms K/2+1..K while this
-    process sums the terms up to K/2 (see :func:`_r_checkpoints`).  Each of
-    the four segments is one correctly rounded sum of the same terms
-    wherever it runs, so the result has the same bits on one CPU or on many.
+    The last part is zero while b*K < 2^p, where k*b and k*b - 1 are exact.
+    Past 2^p their roundings move d = k*b - 1 by a relative 2^(1-p) at most
+    (to first order), and a term k*log1p(b/d) by k*x/(1 + x) <= 1 times
+    that, x = b/d (see :func:`_r_terms`).  Such shifts need not cancel (at
+    b = 2^40, k*b - 1 always rounds up to k*b), and Neville's weights at the
+    four checkpoints have absolute sum 135/21, so each such term moves the
+    result by at most 2^(1-p) * 135/21 < 13 * 2^-p.
+
+    bs must be one or more values of b >= 2, strictly increasing, and
+    K >= 100; both are checked before anything is summed.  With two CPUs
+    usable, one forked child sums the terms K/2+1..K of every b while this
+    process sums the terms up to K/2 (see :func:`_r_checkpoints`).  Each
+    segment is one correctly rounded sum of the same terms wherever it runs,
+    so each r(b) has the same bits on one CPU or on many, whatever bs holds
+    besides b.
     """
-    if b < 2:
-        raise PreconditionError(f"need b >= 2, got {b}")
-    return _r_estimates([b], K, cfg)[0]
+    _check_bs(bs, 1)
+    if K < 100:
+        raise PreconditionError(f"need K >= 100, got {K}")
+    ns, partials = _r_checkpoints(bs, K, cfg)
+    p = cfg.working_precision
+    estimates = []
+    with _context(cfg) as (mt, pi, real):
+        xs = [real(1) / n for n in ns]
+        for b, sums in zip(bs, partials):
+            diag = _neville_to_zero(xs, sums)
+            step = abs(float(diag[-1] - diag[-2]))
+            past = max(0, K - (2**p - 1) // b)
+            rounding = (K + 13 * past) * 2.0**-p
+            estimates.append(
+                ConstantEstimate(value=diag[-1], tail_bound=step + rounding)
+            )
+    return estimates
 
 
 def _check_bs(bs: list[int], fewest: int) -> None:
@@ -301,11 +311,9 @@ def estimate_C0(
 ) -> tuple[ConstantEstimate, list[ConstantEstimate]]:
     """Extract the main-term constant by extrapolating r(b) in 1/b to b = infinity.
 
-    Returns ``(constant, [r_series(b, K, cfg) for b in bs])``, with the same
-    bits, but every r(b) comes from one pass that forks one child for the
-    upper halves of all of them (see :func:`_r_checkpoints`).  bs must be
-    three or more values of b >= 2, strictly increasing, and K >= 100; both
-    are checked before anything is summed.
+    Returns ``(constant, r_series(bs, K, cfg))``.  bs must be three or more
+    values of b >= 2, strictly increasing, and K >= 100; both are checked
+    before anything is summed.
 
     Richardson-style: polynomial extrapolation at nodes 1/b (two levels for
     three nodes), then subtraction of the structural offset 1 between the
@@ -319,7 +327,7 @@ def estimate_C0(
     plus the worst per-b tail bound.
     """
     _check_bs(bs, 3)
-    estimates = _r_estimates(bs, K, cfg)
+    estimates = r_series(bs, K, cfg)
     with _context(cfg) as (mt, pi, real):
         diag = _neville_to_zero([real(1) / b for b in bs], [e.value for e in estimates])
         value = diag[-1] - R_SERIES_OFFSET

@@ -292,7 +292,6 @@ def _cmd_constants(args: argparse.Namespace,
         bs = [int(part) for part in args.bs.split(",") if part.strip()]
     except ValueError as err:
         raise PreconditionError(f"could not parse --bs {args.bs!r}") from err
-    asymptotics._check_bs(bs, 1)
     gamma = euler_gamma(cfg)
     l2p = log_two_pi(cfg)
     closed_form = float(asymptotics._closed_form_C0(cfg))
@@ -311,7 +310,7 @@ def _cmd_constants(args: argparse.Namespace,
         values["C0_gap"] = abs(float(estimate.value) - closed_form)
         diagnostics["C0_tail_bound"] = estimate.tail_bound
     else:
-        estimates = [asymptotics.r_series(b, args.K, cfg) for b in bs]
+        estimates = asymptotics.r_series(bs, args.K, cfg)
         diagnostics["extrapolation"] = "skipped: need at least 3 values of b"
     for b, est in zip(bs, estimates):
         values[f"r_{b}"] = float(est.value)

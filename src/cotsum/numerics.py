@@ -215,7 +215,7 @@ def sum_strategy(values: Iterable, cfg: PrecisionConfig = DEFAULT_CONFIG):
 
 # Fewest terms of work in a child for which its fork pays.  On a 2-vCPU Xeon
 # the fork, pipe and reaping cost about 2 ms, what 10k binary64 r(b) terms do
-# (r_series(100, K), medians of 61 alternated runs, four sets: K = 8000:
+# (r_series([100], K), medians of 61 alternated runs, four sets: K = 8000:
 # 1.5-2.2 ms in one process, 2.7-3.0 ms with the child; K = 12000: 2.3-3.1
 # and 3.2-4.3 ms; K = 16384: 3.0-3.6 and 3.6-4.7 ms; K = 24576: 4.2-6.7 and
 # 4.2-6.3 ms, the child faster in 34 to 49 of 61), so r(b)'s child pays from

@@ -240,7 +240,7 @@ def test_r_series_first_term_and_partial_oracle(cfg):
     oracle = math.fsum(r_term(k, 2) for k in range(1, 101))
     assert ns[-1] == 100
     assert partials[-1] == pytest.approx(oracle, rel=1e-12)
-    est = r_series(2, 100, cfg)
+    est = r_series([2], 100, cfg)[0]
     assert est.value == _neville_to_zero([1 / n for n in ns], partials)[-1]
 
 
@@ -319,8 +319,11 @@ def test_r_checkpoints_agree_with_the_bracket_form(b, precision):
 @pytest.mark.parametrize("K", [2 * 10**4, 2 * 10**5])
 @pytest.mark.parametrize("b", _ACCURACY_BS)
 def test_r_series_lies_within_its_tail_bound_of_the_closed_form(b, K, cfg, cfg_ext):
-    est = r_series(b, K, cfg)
-    assert abs(est.value - r_closed_form(b, cfg_ext)) <= est.tail_bound
+    # at b = 2^40, b*k passes 2^53 from k = 8193 and those terms share a
+    # rounding bias; the bound's part for them must leave a margin
+    share = 0.75 if b == 2**40 else 1
+    est = r_series([b], K, cfg)[0]
+    assert abs(est.value - r_closed_form(b, cfg_ext)) <= share * est.tail_bound
 
 
 # The first k with k*k past 2^53, so k*k is no longer an exact double
@@ -378,10 +381,10 @@ def _assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-def _serial(b, K, cfg, monkeypatch):
+def _serial(bs, K, cfg, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(numerics, "_cpus", lambda: 1)
-        return r_series(b, K, cfg)
+        return r_series(bs, K, cfg)
 
 
 @pytest.mark.parametrize("precision", [53, 113])
@@ -400,7 +403,7 @@ def test_r_series_has_the_same_bits_with_and_without_the_child(precision, monkey
             for cpus in (1, 2):
                 monkeypatch.setattr(numerics, "_cpus", lambda: cpus)
                 before = len(pids)
-                results.append((_one_b_checkpoints(b, K, cfg), r_series(b, K, cfg)))
+                results.append((_one_b_checkpoints(b, K, cfg), r_series([b], K, cfg)))
                 forked = cpus == 2 and K - K // 2 >= least
                 assert len(pids) - before == (2 if forked else 0)
             assert results[0] == results[1]
@@ -409,10 +412,16 @@ def test_r_series_has_the_same_bits_with_and_without_the_child(precision, monkey
 
 
 def test_r_series_leaves_no_child_behind(cfg, monkeypatch):
+    # one child sums the upper halves of every r(b) of the call, and each
+    # r(b) has the bits of one CPU and of its own one-b call
+    K = 2 * numerics._CHILD_MIN_TERMS
+    serial = {b: _serial([b], K, cfg, monkeypatch)[0] for b in (100, 1000)}
     monkeypatch.setattr(numerics, "_cpus", lambda: 2)
     pids = _forks(monkeypatch)
-    r_series(100, 2 * numerics._CHILD_MIN_TERMS, cfg)
-    assert len(pids) == 1
+    for bs in ([100], [100, 1000]):
+        before = len(pids)
+        assert r_series(bs, K, cfg) == [serial[b] for b in bs]
+        assert len(pids) - before == 1
     _assert_reaped(pids)
 
 
@@ -430,7 +439,7 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_the_child(cfg, monkeypatch):
     pids = _forks(monkeypatch)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        r_series(100, 2 * numerics._CHILD_MIN_TERMS, cfg)
+        r_series([100], 2 * numerics._CHILD_MIN_TERMS, cfg)
     assert time.monotonic() - start < 30
     assert len(pids) == 1
     _assert_reaped(pids)
@@ -438,7 +447,7 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_the_child(cfg, monkeypatch):
 
 def test_a_child_that_writes_nothing_leaves_the_bits_alone(cfg, monkeypatch):
     K = 2 * numerics._CHILD_MIN_TERMS
-    expected = _serial(100, K, cfg, monkeypatch)
+    expected = _serial([100], K, cfg, monkeypatch)
     parent = os.getpid()
     segment = asymptotics._r_segment
 
@@ -450,7 +459,7 @@ def test_a_child_that_writes_nothing_leaves_the_bits_alone(cfg, monkeypatch):
     monkeypatch.setattr(numerics, "_cpus", lambda: 2)
     monkeypatch.setattr(asymptotics, "_r_segment", silent_in_the_child)
     pids = _forks(monkeypatch)
-    assert r_series(100, K, cfg) == expected
+    assert r_series([100], K, cfg) == expected
     assert len(pids) == 1
     _assert_reaped(pids)
 
@@ -475,7 +484,7 @@ def test_a_refused_fork_keeps_the_upper_half_in_process(refused, cfg, monkeypatc
     # the OS refuses the pipe or the child: no error, no fd left open, and
     # the bits of the one-CPU path
     K = 2 * numerics._CHILD_MIN_TERMS
-    expected = _serial(100, K, cfg, monkeypatch)
+    expected = _serial([100], K, cfg, monkeypatch)
     pipes = []
     pipe = os.pipe
 
@@ -490,7 +499,7 @@ def test_a_refused_fork_keeps_the_upper_half_in_process(refused, cfg, monkeypatc
         monkeypatch.setattr(os, "pipe", recording_pipe)
         monkeypatch.setattr(os, "fork", _refuse_fork)
     fds = _open_fds()
-    assert r_series(100, K, cfg) == expected
+    assert r_series([100], K, cfg) == expected
     assert _open_fds() == fds
     assert len(pipes) == (1 if refused == "fork" else 0)
     for fd in (fd for pair in pipes for fd in pair):
@@ -502,14 +511,14 @@ def test_a_refused_fork_keeps_the_upper_half_in_process(refused, cfg, monkeypatc
 def test_a_live_thread_keeps_the_upper_half_in_process(cfg, monkeypatch):
     # a fork could copy a lock the other thread holds, so none is made
     K = 2 * numerics._CHILD_MIN_TERMS
-    expected = _serial(100, K, cfg, monkeypatch)
+    expected = _serial([100], K, cfg, monkeypatch)
     monkeypatch.setattr(numerics, "_cpus", lambda: 2)
     pids = _forks(monkeypatch)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(60,))
     thread.start()
     try:
-        got = r_series(100, K, cfg)
+        got = r_series([100], K, cfg)
     finally:
         stop.set()
         thread.join(timeout=60)
@@ -527,7 +536,7 @@ def test_estimate_c0_forks_one_child_for_every_b(path, cfg, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(numerics, "_cpus", lambda: 1)
         expected = estimate_C0(bs, K, cfg)
-        assert expected[1] == [r_series(b, K, cfg) for b in bs]
+        assert expected[1] == r_series(bs, K, cfg)
     monkeypatch.setattr(numerics, "_cpus", lambda: 2)
     pids = _forks(monkeypatch)
     if path == "refused":
@@ -550,7 +559,7 @@ def test_estimate_c0_forks_one_child_for_every_b(path, cfg, monkeypatch):
 def test_r_series_converges_to_offset_constant(cfg):
     # r(b) -> 1 + (gamma - log(2*pi))/2 as b grows; at b = 10^4 the defect is
     # O(1/b) and the truncation tail is ~1/(3K)
-    est = r_series(10**4, 2 * 10**5, cfg)
+    est = r_series([10**4], 2 * 10**5, cfg)[0]
     limit = 1 + closed_form_constant(cfg)
     assert abs(est.value - limit) <= 1e-3
     assert est.tail_bound <= 1e-4
@@ -558,17 +567,17 @@ def test_r_series_converges_to_offset_constant(cfg):
 
 def test_r_series_tail_bound_shrinks_with_K(cfg, cfg_ext):
     # from K = 10^3 to 10^4 truncation, not rounding, dominates the bound
-    small = r_series(1000, 10**3, cfg)
-    large = r_series(1000, 10**4, cfg)
+    small = r_series([1000], 10**3, cfg)[0]
+    large = r_series([1000], 10**4, cfg)[0]
     assert large.tail_bound < small.tail_bound
     # the bound covers the real error, binary64 rounding included, against the
     # 113-bit value at K = infinity, which the 113-bit series confirms
     for b in (2, 100):
         ref = r_closed_form(b, cfg_ext)
-        check = r_series(b, 10**4, cfg_ext)
+        check = r_series([b], 10**4, cfg_ext)[0]
         assert abs(check.value - ref) <= check.tail_bound
         for K in (10**3, 10**4, 10**5):
-            est = r_series(b, K, cfg)
+            est = r_series([b], K, cfg)[0]
             assert abs(est.value - ref) <= est.tail_bound
 
 
@@ -579,22 +588,32 @@ def test_r_series_bound_holds_past_b_k_2_53(b, cfg, cfg_ext):
     # K * 2^-53 rounding part of the bound covers
     ref = r_closed_form(b, cfg_ext)
     for K in (10**3, 10**4):
-        est = r_series(b, K, cfg)
+        est = r_series([b], K, cfg)[0]
         assert abs(est.value - ref) <= est.tail_bound
 
 
 def test_r_series_rate_in_b(cfg):
     # |r(2b) - r(b)| <= 2/b
     for b in (100, 1000):
-        gap = abs(r_series(2 * b, 2 * 10**5, cfg).value - r_series(b, 2 * 10**5, cfg).value)
+        r_b, r_2b = r_series([b, 2 * b], 2 * 10**5, cfg)
+        gap = abs(r_2b.value - r_b.value)
         assert gap <= 2.0 / b
 
 
-def test_r_series_preconditions(cfg):
-    with pytest.raises(PreconditionError):
-        r_series(1, 1000, cfg)
-    with pytest.raises(PreconditionError):
-        r_series(10, 50, cfg)
+def test_r_series_preconditions(cfg, monkeypatch):
+    summed = []
+    monkeypatch.setattr(asymptotics, "_r_segment", lambda *args: summed.append(args))
+    for bs, K, message in (
+        ([1], 1000, "every b must be >= 2"),
+        ([], 1000, "need at least 1 value of b"),
+        ([100, 10], 1000, "strictly increasing"),
+        ([100, 100], 1000, "strictly increasing"),
+        ([1], 50, "every b must be >= 2"),
+        ([10], 50, "need K >= 100"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            r_series(bs, K, cfg)
+    assert summed == []
 
 
 # --------------------------------------------------------------- estimate_C0
@@ -775,7 +794,7 @@ def test_extended_precision_holds_a_fortiori(cfg_ext):
         - s_sum_asymptotic(L, b, closed_form_constant(cfg_ext), cfg_ext)
     )
     assert defect <= 2 + 0.05 * b * b / L
-    est = r_series(1000, 10**4, cfg_ext)
+    est = r_series([1000], 10**4, cfg_ext)[0]
     assert abs(est.value - (1 + closed_form_constant(cfg_ext))) <= 2e-3
 
 

@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_asymptotics import _assert_reaped, _forks
 
 import cotsum
+from cotsum import numerics
 from cotsum.cli import _render, main
 
 
@@ -625,6 +627,19 @@ def test_constants_single_b_skips_extrapolation(capsys):
     assert "r_2" in payload["values"]
     assert "C0_estimate" not in payload["values"]
     assert "skipped" in payload["diagnostics"]["extrapolation"]
+
+
+def test_constants_forks_one_child_for_two_b(capsys, monkeypatch):
+    # one r_series call sums both r(b); its one child sums both upper halves
+    argv = ["constants", "--K", str(2 * numerics._CHILD_MIN_TERMS), "--bs", "100,1000"]
+    monkeypatch.setattr(numerics, "_cpus", lambda: 1)
+    serial = run_cli(capsys, argv)
+    assert serial[0] == 0
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    pids = _forks(monkeypatch)
+    assert run_cli(capsys, argv) == serial
+    assert len(pids) == 1
+    _assert_reaped(pids)
 
 
 def test_constants_rejects_bad_bs(capsys):

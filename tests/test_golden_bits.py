@@ -51,7 +51,7 @@ CASES = {
     "inner_block_expansion": lambda cfg: inner_block_expansion(3, 10, cfg),
     "s_sum_direct": lambda cfg: s_sum_direct(60, 10, cfg),
     "g_partial": lambda cfg: g_partial(7, 100, cfg),
-    "r_series": lambda cfg: r_series(10, 200, cfg),
+    "r_series": lambda cfg: r_series([10], 200, cfg)[0],
     "estimate_C0": lambda cfg: estimate_C0([10, 20, 40], 200, cfg)[0],
     "s_sum_asymptotic": lambda cfg: s_sum_asymptotic(100, 10, 0.1, cfg),
     "c0_main_terms": lambda cfg: c0_main_terms(1000, cfg),
