@@ -201,12 +201,12 @@ def test_verify_text_prints_case_lines(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    import cotsum.cli as cli_mod
+    from cotsum import checks
 
     def broken_suite(size, seed, cfg):
         return [("case", False, 1.0)], {}
 
-    monkeypatch.setitem(cli_mod.checks.SUITES, "lemma4", broken_suite)
+    monkeypatch.setitem(checks.SUITES, "lemma4", broken_suite)
     code, out, _ = run_cli(capsys, ["verify", "--suite", "lemma4"])
     assert code == 1
     payload = json.loads(out)
@@ -323,24 +323,24 @@ def test_entrypoint_freezes_the_heap_before_it_exits(lemma4, argv, code):
     assert frozen > 0
 
 
-def _child_imports(module, argv, cwd=None) -> bool:
-    """Whether ``cotsum.cli.main(argv)`` in a fresh process imports ``module``."""
+def _child_imports(argv, cwd=None) -> set:
+    """The modules loaded after ``cotsum.cli.main(argv)`` in a fresh process."""
     script = (
         "import sys, cotsum.cli\n"
-        "if sys.argv[2:]: cotsum.cli.main(sys.argv[2:])\n"
-        "print(sys.argv[1] in sys.modules, file=sys.stderr)\n"
+        "if sys.argv[1:]: cotsum.cli.main(sys.argv[1:])\n"
+        "print('modules:', *sys.modules, file=sys.stderr)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, module, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         env=_child_env(),
         cwd=cwd,
         timeout=120,
     )
-    last = proc.stderr.splitlines()[-1]
-    assert last in ("True", "False"), (argv, proc.stderr)
-    return last == "True"
+    last = proc.stderr.splitlines()[-1].split()
+    assert last[0] == "modules:", (argv, proc.stderr)
+    return set(last[1:])
 
 
 def test_only_binary64_c0_imports_numpy(tmp_path):
@@ -358,7 +358,7 @@ def test_only_binary64_c0_imports_numpy(tmp_path):
         ([*scan, "--precision", "113"], False),
         (["eval", "--h", "1", "--k", "5", "--precision", "113"], False),
     ):
-        assert _child_imports("numpy", argv, cwd=tmp_path) is loaded, argv
+        assert ("numpy" in _child_imports(argv, cwd=tmp_path)) is loaded, argv
 
 
 def _bare_interpreter_modules() -> set:
@@ -377,21 +377,29 @@ def _bare_interpreter_modules() -> set:
 def test_cli_starts_import_only_what_their_command_runs(tmp_path):
     # dataclasses (~8 ms with inspect and ast), fractions (~4 ms with decimal)
     # and csv would cost every start; only the commands that use them pay,
-    # and none uses csv.
+    # and none uses csv.  Each package module costs its compile and import
+    # (2-4 ms), so a --help loads none of them, and json only a command's
+    # output does.
     # A module the interpreter loads anyway (a site hook) cannot be told apart.
-    modules = {"dataclasses", "fractions", "csv"} - _bare_interpreter_modules()
+    package = {"cotsum.numerics", "cotsum.exact", "cotsum.asymptotics", "cotsum.checks"}
+    modules = {"dataclasses", "fractions", "csv", "json", *package}
+    modules -= _bare_interpreter_modules()
+    ran = {"cotsum.numerics", "cotsum.exact", "json"}
     for argv, loaded in (
         ([], set()),
+        (["--help"], set()),
+        (["eval", "--help"], set()),
         (["verify", "--help"], set()),
-        (["verify", "--suite", "floor", "--size", "5"], set()),
-        (["constants", "--K", "1000"], set()),
+        (["residuals", "--help"], set()),
+        (["constants", "--help"], set()),
+        (["verify", "--suite", "floor", "--size", "5"], {*package, "json"}),
+        (["constants", "--K", "1000"], {*ran, "cotsum.asymptotics"}),
         (["residuals", "--b-min", "256", "--b-max", "1024", "--geometric-step", "2"],
-         set()),
-        (["eval", "--h", "1", "--k", "5", "--alpha", "1"], {"fractions"}),
+         {*ran, "cotsum.asymptotics"}),
+        (["eval", "--h", "1", "--k", "5"], ran),
+        (["eval", "--h", "1", "--k", "5", "--alpha", "1"], {*ran, "fractions"}),
     ):
-        for module in sorted(modules):
-            assert _child_imports(module, argv, cwd=tmp_path) is (module in loaded), (
-                module, argv)
+        assert _child_imports(argv, cwd=tmp_path) & modules == loaded & modules, argv
 
 
 def test_binary64_runs_never_import_mpmath(tmp_path):
@@ -405,7 +413,7 @@ def test_binary64_runs_never_import_mpmath(tmp_path):
         (["constants", "--K", "1000"], False),
         (["eval", "--h", "1", "--k", "5", "--precision", "113"], True),
     ):
-        assert _child_imports("mpmath", argv, cwd=tmp_path) is loaded, argv
+        assert ("mpmath" in _child_imports(argv, cwd=tmp_path)) is loaded, argv
 
 
 # -------------------------------------------------------------- residuals

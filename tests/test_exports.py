@@ -3,11 +3,15 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_cli import _child_env
 
 import cotsum
+from cotsum import checks, cli
 
 # __main__ runs the CLI on import.
 SUBMODULES = sorted(
@@ -28,6 +32,59 @@ def test_package_exports_are_the_star_exported_modules():
     assert len(names) == len(set(names))
     assert len(cotsum.__all__) == len(set(cotsum.__all__))
     assert set(cotsum.__all__) == {*names, "__version__"}
+
+
+def _fresh(script: str) -> list:
+    """The words ``script`` prints in a fresh interpreter, this package first."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        check=True,
+        timeout=120,
+    )
+    return proc.stdout.split()
+
+
+def test_import_cotsum_loads_no_submodule():
+    # a CLI start pays only for the modules its command runs
+    assert _fresh(
+        "import sys, cotsum\n"
+        "print(*[m for m in sys.modules if m.startswith('cotsum.')])\n"
+    ) == []
+
+
+def test_star_import_binds_exactly_the_package_list():
+    # __all__ is built on its first read, here by the star import itself
+    assert _fresh(
+        "import cotsum\n"
+        "namespace = {}\n"
+        "exec('from cotsum import *', namespace)\n"
+        "print(sorted(set(namespace) - {'__builtins__'}) == sorted(cotsum.__all__))\n"
+    ) == ["True"]
+
+
+@pytest.mark.parametrize("name", ["numerics", "exact", "asymptotics"])
+def test_star_exported_modules_resolve_before_their_import(name):
+    assert _fresh(
+        "import sys, cotsum\n"
+        f"print('cotsum.{name}' in sys.modules, "
+        f"cotsum.{name} is sys.modules['cotsum.{name}'])\n"
+    ) == ["False", "True"]
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_cot_row"])
+def test_an_unknown_name_raises_attribute_error(name):
+    # _cot_row is numerics' own, never star-exported
+    message = f"module 'cotsum' has no attribute '{name}'"
+    with pytest.raises(AttributeError, match=message):
+        getattr(cotsum, name)
+
+
+def test_cli_suite_names_are_the_suites():
+    # the parser names them without importing checks
+    assert cli.SUITE_NAMES == tuple(checks.SUITES)
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
