@@ -105,19 +105,16 @@ def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
 def _floor_row(b: int, cfg: PrecisionConfig) -> tuple:
     """``(max_im, max_round)`` of b over a = 1..1000, class by class.
 
-    The a of class s are s, s + b, ..., whose floor(a/b) are 0, 1, ...;
-    those of class 0 are b, 2b, ..., whose floors are 1, 2, ...
+    The a of class s are s, s + b, ...; those of class 0 are b, 2b, ...
     """
     last_a = 1000
     # the classes of a = 1..last_a: no class 0 past b = last_a
     classes = range(0 if b <= last_a else 1, min(b, last_a + 1))
     sums = exact._floor_class_sums(b, classes, cfg)
     max_im = worst_residue([abs(float(im)) for _, im in sums.values()])
-    rounding = []
-    for s, (re, _) in sums.items():
-        first = s or b
-        reals = exact._floor_reals(b, range(first, last_a + 1, b), re, cfg)
-        rounding += [abs(float(x) - q) for q, x in enumerate(reals, first // b)]
+    rounding = exact._floor_distances(
+        b, ((re, range(s or b, last_a + 1, b)) for s, (re, _) in sums.items()), cfg
+    )
     return max_im, worst_residue(rounding)
 
 

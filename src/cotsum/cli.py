@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import signal
 import sys
 
@@ -368,6 +369,12 @@ def entrypoint() -> None:
     # it would a C tool, not with a traceback and the verification-failed exit.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # cotsum calls no BLAS routine, yet numpy's import starts OpenBLAS's
+    # workers, which spin about 60 ms of CPU.  On a 2-vCPU Xeon the kernel
+    # often put the worker on the main thread's CPU, and the import took a
+    # median 0.09-0.14 s against 0.07 s with one thread.  Set before numpy
+    # can load, whatever the caller's environment says.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     # The process ends here.  Frozen, its heap is skipped by the full cycle
     # collections that interpreter shutdown runs while it tears the modules

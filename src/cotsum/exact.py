@@ -377,12 +377,20 @@ def _floor_class_sums(b: int, classes, cfg: PrecisionConfig) -> dict:
     return sums
 
 
-def _floor_reals(b: int, a_values, re, cfg: PrecisionConfig) -> list:
-    """a/b + 1/(2b) - 1/2 + re for each a of one class, whose real sum is re."""
+def _floor_distances(b: int, classes, cfg: PrecisionConfig) -> list:
+    """|a/b + 1/(2b) - 1/2 + re - floor(a/b)| as floats, in one pass.
+
+    ``classes`` yields ``(re, a_values)``: the real sum of one residue class
+    and the a of that class.
+    """
     with _context(cfg) as (mt, pi, real):
         offset = real(1) / (2 * b)
         half = real(1) / 2
-        return [real(a) / b + offset - half + re for a in a_values]
+        return [
+            abs(float(real(a) / b + offset - half + re) - a // b)
+            for re, a_values in classes
+            for a in a_values
+        ]
 
 
 def cot_cos_identity_residual(

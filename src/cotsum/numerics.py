@@ -21,7 +21,7 @@ import math
 import os
 import signal
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from functools import lru_cache
 from math import comb, gcd
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -232,6 +232,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _cpu_of(pid: int) -> int:
+    """The CPU that process ``pid``'s main thread last ran on (Linux only)."""
+    with open(f"/proc/{pid}/stat", "rb") as f:
+        # field 39, counted past the command name, which may hold ")"
+        return int(f.read().rsplit(b")", 1)[1].split()[36])
+
+
 def _in_two(fn, items, child_terms: int) -> list:
     """``[fn(x) for x in items]``, the values of ``items[1::2]`` from a forked child.
 
@@ -243,8 +250,15 @@ def _in_two(fn, items, child_terms: int) -> list:
     below ``_CHILD_MIN_TERMS``, ``os.fork`` is missing, fewer than 2 CPUs
     are usable, another thread is alive (a fork would copy any lock that
     thread holds, ``_MP_LOCK`` included), or ``os.pipe`` or ``os.fork``
-    fails.  If the child delivers no complete result, its values are
-    computed here, so an exception in fn surfaces in this process.
+    fails.  ``threading.active_count()`` counts Python threads only, not
+    native ones such as OpenBLAS's workers, which hold no lock of ours.
+    The child restricts itself to the usable CPUs other than the one this
+    process is on when the child starts: on a 2-vCPU Xeon the kernel often
+    left a fresh child on its busy parent's CPU, where the fork bought
+    nothing.  Where it cannot read that CPU or set its mask, the child runs
+    unpinned; this process's mask never changes.  If the child delivers no
+    complete result, its values are computed here, so an exception in fn
+    surfaces in this process.
     fn must be a pure function of its argument: then every path gives the
     same bits.  The child is killed and reaped before this returns, also
     when this process's own half raises.  Call it outside any ``_context``
@@ -271,6 +285,9 @@ def _in_two(fn, items, child_terms: int) -> list:
     if pid == 0:
         try:
             os.close(read_fd)
+            with suppress(AttributeError, OSError):
+                others = os.sched_getaffinity(0) - {_cpu_of(os.getppid())}
+                os.sched_setaffinity(0, others)
             data = pickle.dumps([fn(x) for x in items[1::2]])
             while data:
                 data = data[os.write(write_fd, data):]

@@ -323,6 +323,46 @@ def test_entrypoint_freezes_the_heap_before_it_exits(lemma4, argv, code):
     assert frozen > 0
 
 
+# The entrypoint with main reporting, once it returns, how many threads this
+# process runs and whether numpy is loaded.
+_THREADS = """\
+import os, sys
+from cotsum import cli
+main = cli.main
+
+def reporting_main():
+    code = main()
+    tasks = len(os.listdir("/proc/self/task"))
+    print("threads", tasks, "numpy" in sys.modules, file=sys.stderr)
+    return code
+
+cli.main = reporting_main
+cli.entrypoint()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_the_cli_starts_no_blas_thread():
+    # numpy's import starts OpenBLAS's workers unless OPENBLAS_NUM_THREADS is
+    # 1; the entrypoint sets it whatever the caller's environment says
+    stdouts = []
+    for blas_threads in (None, "4"):
+        env = _child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS, "eval", "--h", "1", "--k", "4099"],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == [b"threads", b"1", b"True"], blas_threads
+        stdouts.append(proc.stdout)
+    assert stdouts[0] == stdouts[1]
+
+
 def _child_imports(argv, cwd=None) -> set:
     """The modules loaded after ``cotsum.cli.main(argv)`` in a fresh process."""
     script = (

@@ -488,37 +488,34 @@ def test_cot_derivative_matches_finite_difference():
 
 
 def _floor_parts(a, b, cfg):
-    """``(real, imag)`` of floor(a/b)'s expression, as the floor suite forms it."""
+    """``(distance, imag)`` of floor(a/b)'s expression, as the floor suite forms them.
+
+    ``distance`` is the real part's distance to floor(a/b).
+    """
     s = a % b
     re_s, im = cotsum.exact._floor_class_sums(b, {s}, cfg)[s]
-    (re,) = cotsum.exact._floor_reals(b, [a], re_s, cfg)
-    return re, im
+    (distance,) = cotsum.exact._floor_distances(b, [(re_s, [a])], cfg)
+    return distance, im
 
 
-def _floor_ok(a, b, re, im):
+def _floor_ok(distance, im):
     """The floor suite's checks of one a: real part and imaginary residue."""
-    return (
-        abs(re - a // b) <= checks.FLOOR_ROUND_TOL and abs(im) <= checks.FLOOR_IMAG_TOL
-    )
+    return distance <= checks.FLOOR_ROUND_TOL and abs(im) <= checks.FLOOR_IMAG_TOL
 
 
 def test_floor_examples(cfg):
-    for a, b, floor in ((7, 3, 2), (6, 3, 2), (1, 97, 0)):
-        re, im = _floor_parts(a, b, cfg)
-        assert _floor_ok(a, b, re, im)
-        assert round(re) == floor
+    for a, b in ((7, 3), (6, 3), (1, 97)):
+        assert _floor_ok(*_floor_parts(a, b, cfg))
 
 
 @given(a=st.integers(min_value=1, max_value=10**6), b=st.integers(min_value=2, max_value=300))
 def test_floor_property(a, b):
-    re, im = _floor_parts(a, b, PrecisionConfig())
-    assert _floor_ok(a, b, re, im)
-    assert round(re) == a // b
+    assert _floor_ok(*_floor_parts(a, b, PrecisionConfig()))
 
 
 def test_floor_identity_reports_its_checks(cfg, monkeypatch):
-    re, im = _floor_parts(7, 3, cfg)
-    assert re == pytest.approx(2.0, abs=1e-12)
+    distance, im = _floor_parts(7, 3, cfg)
+    assert distance <= 1e-12
     assert abs(im) <= 1e-12
     cases, _ = checks.floor(3, checks.DEFAULT_SEED, cfg)
     assert [passed for _, passed, _ in cases] == [True, True]
@@ -655,8 +652,12 @@ def test_floor_sums_are_computed_once_per_residue_class(b, precision, monkeypatc
     # a and a + 3b share a class: one pair of sums, and the oracle's bits
     s = a % b
     re, im = cotsum.exact._floor_class_sums(b, {s}, cfg)[s]
-    reals = cotsum.exact._floor_reals(b, [a, a + 3 * b], re, cfg)
-    assert [(x, im) for x in reals] == _floor_oracle([a, a + 3 * b], b, precision)
+    a_values = [a, a + 3 * b]
+    distances = cotsum.exact._floor_distances(b, [(re, a_values)], cfg)
+    oracle = _floor_oracle(a_values, b, precision)
+    assert [(d, im) for d in distances] == [
+        (abs(float(x) - v // b), i) for v, (x, i) in zip(a_values, oracle)
+    ]
     assert summed == [b - 1, b - 1]
     # a = 1..1000 covers every class of b: one pair of sums per class
     summed.clear()

@@ -537,3 +537,89 @@ def test_in_two_is_the_map_of_fn_on_every_path(path, n, as_list, monkeypatch):
     }.get(path, list(items))
     assert here == expected_here
 
+
+# A child can be moved off its parent's CPU only where another one is usable.
+_TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and 2 usable CPUs",
+)
+
+
+def _mask(x):
+    return x, sorted(os.sched_getaffinity(0))
+
+
+@_TWO_CPUS
+def test_in_two_runs_the_child_off_the_parents_cpu(monkeypatch):
+    usable = sorted(os.sched_getaffinity(0))
+    parent = os.getpid()
+    pids = _forks(monkeypatch)
+    items = list(range(5))
+    for c in usable:
+        # the reader is asked for this process's CPU; any other pid pins nothing
+        monkeypatch.setattr(
+            numerics, "_cpu_of", lambda pid, c=c: c if pid == parent else None
+        )
+        got = _in_two(_mask, items, numerics._CHILD_MIN_TERMS)
+        others = [cpu for cpu in usable if cpu != c]
+        assert got == [(x, others if x % 2 else usable) for x in items]
+        assert sorted(os.sched_getaffinity(0)) == usable
+    assert len(pids) == len(usable)
+    _assert_reaped(pids)
+
+
+@_TWO_CPUS
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_the_cpu_reader_names_a_usable_cpu():
+    usable = os.sched_getaffinity(0)
+    assert numerics._cpu_of(os.getpid()) in usable
+    # unpatched, the child keeps every usable CPU but one
+    got = _in_two(_mask, [0, 1], numerics._CHILD_MIN_TERMS)
+    assert got[0] == (0, sorted(usable))
+    assert len(got[1][1]) == len(usable) - 1
+    assert set(got[1][1]) < usable
+
+
+def _refuse(*args):
+    raise OSError("refused")
+
+
+@_TWO_CPUS
+@pytest.mark.parametrize("fails", ["reader", "setaffinity", "no setaffinity"])
+def test_a_child_that_cannot_leave_the_parents_cpu_runs_unpinned(fails, monkeypatch):
+    parent, here = os.getpid(), []
+
+    def fn(x):
+        if os.getpid() == parent:
+            here.append(x)
+        return _mask(x)
+
+    if fails == "reader":
+        monkeypatch.setattr(numerics, "_cpu_of", _refuse)
+    elif fails == "setaffinity":
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    pids = _forks(monkeypatch)
+    items = list(range(5))
+    got = _in_two(fn, items, numerics._CHILD_MIN_TERMS)
+    assert got == [_mask(x) for x in items]
+    # the child computed its half
+    assert here == items[::2]
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_in_two_on_one_cpu_forks_and_pins_nothing(monkeypatch):
+    # under a one-CPU mask (taskset -c 0) this is the real path, else _cpus says 1
+    if numerics._cpus() > 1:
+        monkeypatch.setattr(numerics, "_cpus", lambda: 1)
+    pinned = []
+    monkeypatch.setattr(
+        os, "sched_setaffinity", lambda *args: pinned.append(args), raising=False
+    )
+    pids = _forks(monkeypatch)
+    items = list(range(5))
+    assert _in_two(_mask, items, 1 << 20) == [_mask(x) for x in items]
+    assert pids == []
+    assert pinned == []
