@@ -385,7 +385,8 @@ def residual_scan(
     exact parts and reuses them for the row's even r (see
     :func:`exact._row_parts`).  Every b is checked against c0's limits
     before the first.  The report carries the least-squares slope and
-    intercept of delta against log(b) (computed in binary64) plus
+    intercept of delta against log(b) (in binary64, from correctly rounded
+    sums, so the same on every Python) plus
     max |delta|: a bounded error term shows a near-zero slope, while an
     error growing like log(b) would show a stable nonzero slope.
     """
@@ -407,10 +408,10 @@ def residual_scan(
     if n == 1:
         slope, intercept = 0.0, ys[0]
     else:
-        x_bar = sum(xs) / n
-        y_bar = sum(ys) / n
-        sxx = sum((x - x_bar) ** 2 for x in xs)
-        sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+        x_bar = math.fsum(xs) / n
+        y_bar = math.fsum(ys) / n
+        sxx = math.fsum((x - x_bar) ** 2 for x in xs)
+        sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
         slope = sxy / sxx
         intercept = y_bar - slope * x_bar
     report = LogFitReport(

@@ -6,9 +6,12 @@ Each suite maps ``(size, seed, cfg)`` (``size=None`` for its default) to
 in a forked child when that half pays for a fork (``numerics._in_two``).
 ``prop1`` makes the seeded draws of every b here, before the fork, so the
 child reads the draws of its b from what it inherits.
-Every identity call for one b reads the same cached row set of that b
-(``exact._unit_row``: cot, cos and sin), built in the process that checks b.
-``floor`` works per residue class of a mod b, not per a: one
+Both suites have one shape: ``exact`` returns correctly rounded sums per b,
+read from one cached row set of that b (``exact._unit_row``: cot, cos and
+sin) built in the process that checks b, and this module forms every
+residue at the working precision, rounding it to a float once.
+``prop1`` takes two ``exact._cot_row_sums`` calls per b, over the cos and
+the sin row.  ``floor`` works per residue class of a mod b, not per a: one
 ``exact._floor_class_sums`` call per b gives the sums of the classes that
 a = 1..1000 cover, conjugate classes s and b - s from one pass, and each
 a then costs only its real part and its distance to floor(a/b).
@@ -19,7 +22,7 @@ import random
 from array import array
 
 from . import asymptotics, exact
-from .numerics import PrecisionConfig, _in_two
+from .numerics import PrecisionConfig, _context, _in_two
 
 DEFAULT_SEED = 927227
 
@@ -70,17 +73,18 @@ def _prop1_draws(seed: int, last_b: int) -> dict:
 
 
 def _prop1_row(b: int, draws: dict, cfg: PrecisionConfig) -> tuple:
-    """``(max_cos, max_frac)`` of b, over the draws of b."""
+    """``(max_cos, max_frac)`` of b over its draws, each residue rounded once."""
     d = draws[b]
-    cos_b = [
-        abs(float(exact.cot_cos_identity_residual(a, b, n, cfg)))
-        for a, n in zip(d[0::4], d[1::4])
-    ]
-    frac_b = [
-        abs(float(exact.frac_via_cot_sin(a, b, n, cfg)) - ((n * a) % b) / b)
-        for a, n in zip(d[2::4], d[3::4])
-    ]
-    return worst_residue(cos_b), worst_residue(frac_b)
+    cos_steps, frac_steps = ([n * a % b for a, n in zip(d[i::4], d[i + 1::4])]
+                             for i in (0, 2))
+    cos_sums = exact._cot_row_sums(b, cos_steps, 1, cfg)
+    sin_sums = exact._cot_row_sums(b, frac_steps, 2, cfg)
+    with _context(cfg) as (mt, pi, real):
+        frac_b = [
+            abs(float(real(1) / 2 - s / (2 * b) - real(q) / b))
+            for s, q in zip(sin_sums, frac_steps)
+        ]
+    return worst_residue(abs(float(s)) for s in cos_sums), worst_residue(frac_b)
 
 
 def prop1(size: int | None, seed: int, cfg: PrecisionConfig):
@@ -106,15 +110,21 @@ def _floor_row(b: int, cfg: PrecisionConfig) -> tuple:
     """``(max_im, max_round)`` of b over a = 1..1000, class by class.
 
     The a of class s are s, s + b, ...; those of class 0 are b, 2b, ...
+    Each distance to floor(a/b) is formed at the working precision, rounded once.
     """
     last_a = 1000
     # the classes of a = 1..last_a: no class 0 past b = last_a
     classes = range(0 if b <= last_a else 1, min(b, last_a + 1))
     sums = exact._floor_class_sums(b, classes, cfg)
     max_im = worst_residue([abs(float(im)) for _, im in sums.values()])
-    rounding = exact._floor_distances(
-        b, ((re, range(s or b, last_a + 1, b)) for s, (re, _) in sums.items()), cfg
-    )
+    with _context(cfg) as (mt, pi, real):
+        offset = real(1) / (2 * b)
+        half = real(1) / 2
+        rounding = [
+            abs(float(real(a) / b + offset - half + re - a // b))
+            for s, (re, _) in sums.items()
+            for a in range(s or b, last_a + 1, b)
+        ]
     return max_im, worst_residue(rounding)
 
 

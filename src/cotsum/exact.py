@@ -5,11 +5,12 @@ The central object is the cotangent sum
     c0(h/k) = -sum_{m=1}^{k-1} (m/k) * cot(pi*m*h/k),
 
 together with the closed forms it feeds (the zeta-type value at the origin for
-both parities of the twist order alpha) and a family of finite trigonometric
-identities: a floor function written as an exponential sum, the vanishing
-cotangent-cosine sum, and the fractional part recovered from a
-cotangent-sine sum.  Every divisibility decision is made in exact integer
-arithmetic; floating point only enters once angles are reduced.
+both parities of the twist order alpha) and the per-b sums of a family of
+finite trigonometric identities: a floor function written as an exponential
+sum, the vanishing cotangent-cosine sum, and the fractional part recovered
+from a cotangent-sine sum (``cotsum.checks`` forms their residues).  Every
+divisibility decision is made in exact integer arithmetic; floating point
+only enters once angles are reduced.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ __all__ = [
     "EstermannValue",
     "MAX_DERIVATIVE_ORDER",
     "c0",
-    "cot_cos_identity_residual",
     "estermann_at_zero",
-    "frac_via_cot_sin",
 ]
 
 # Derivative polynomials have integer coefficients that grow like n!, so the
@@ -377,51 +376,14 @@ def _floor_class_sums(b: int, classes, cfg: PrecisionConfig) -> dict:
     return sums
 
 
-def _floor_distances(b: int, classes, cfg: PrecisionConfig) -> list:
-    """|a/b + 1/(2b) - 1/2 + re - floor(a/b)| as floats, in one pass.
+def _cot_row_sums(b: int, steps, row: int, cfg: PrecisionConfig) -> list:
+    """sum_{m=1}^{b-1} cot(pi*m/b) * w[m*step mod b] for each step (0 <= step < b).
 
-    ``classes`` yields ``(re, a_values)``: the real sum of one residue class
-    and the a of that class.
+    w is row ``row`` of :func:`_unit_row`: 1 for cos(2*pi*j/b), 2 for
+    sin(2*pi*j/b).  Each sum is correctly rounded.  With step = n*a mod b,
+    the cos sum vanishes identically, and the sin sum s gives the fractional
+    part {n*a/b} = 1/2 - s/(2b) where b does not divide n*a.
     """
-    with _context(cfg) as (mt, pi, real):
-        offset = real(1) / (2 * b)
-        half = real(1) / 2
-        return [
-            abs(float(real(a) / b + offset - half + re) - a // b)
-            for re, a_values in classes
-            for a in a_values
-        ]
-
-
-def cot_cos_identity_residual(
-    a: int, b: int, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG
-):
-    """sum_{m=1}^{b-1} cot(pi*m/b) cos(2*pi*m*n*a/b), which vanishes identically.
-
-    The returned value is a pure numerical residue; callers assert on its size.
-    """
-    if a < 1 or b < 2 or n < 1:
-        raise PreconditionError(f"need a, n >= 1 and b >= 2, got ({a}, {b}, {n})")
-    cot, cos_row, _ = _unit_row(b, cfg.working_precision)
-    step = (n * a) % b
-    return sum_strategy(map(mul, cot, _gathered(cos_row, step, b)), cfg)
-
-
-def frac_via_cot_sin(
-    a: int, b: int, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG
-):
-    """Fractional part {n*a/b} from the cotangent-sine sum (requires b !| n*a).
-
-        {n*a/b} = 1/2 - (1/(2b)) sum_{m=1}^{b-1} cot(pi*m/b) sin(2*pi*m*n*a/b)
-    """
-    if a < 1 or b < 2 or n < 1:
-        raise PreconditionError(f"need a, n >= 1 and b >= 2, got ({a}, {b}, {n})")
-    step = (n * a) % b
-    if step == 0:
-        raise PreconditionError(
-            f"identity requires b to not divide n*a, got b = {b}, n*a = {n * a}"
-        )
-    cot, _, sin_row = _unit_row(b, cfg.working_precision)
-    with _context(cfg) as (mt, pi, real):
-        s = sum_strategy(map(mul, cot, _gathered(sin_row, step, b)), cfg)
-        return real(1) / 2 - s / (2 * b)
+    rows = _unit_row(b, cfg.working_precision)
+    cot, w = rows[0], rows[row]
+    return [sum_strategy(map(mul, cot, _gathered(w, step, b)), cfg) for step in steps]

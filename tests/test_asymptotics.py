@@ -776,6 +776,27 @@ def test_residual_scan_holds_one_previous_row(cfg):
     assert peak < 2**20
 
 
+def _rounded_sum(values) -> float:
+    """The exact sum of ``values``, rounded once to binary64."""
+    return float(sum(map(Fraction, values)))
+
+
+def test_residual_scan_fit_takes_correctly_rounded_sums(cfg):
+    # scan_deep's 15 rows: the builtin sum rounds each partial sum on Python
+    # 3.10 and 3.11 and compensates it from 3.12 on; correctly rounded sums
+    # give the fit the same bits on every interpreter
+    records, report = residual_scan([2**j for j in range(8, 23)], cfg)
+    xs = [math.log(r.b) for r in records]
+    ys = [r.delta for r in records]
+    x_bar = _rounded_sum(xs) / len(xs)
+    y_bar = _rounded_sum(ys) / len(ys)
+    sxx = _rounded_sum((x - x_bar) ** 2 for x in xs)
+    sxy = _rounded_sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    assert report.slope.hex() == slope.hex()
+    assert report.intercept.hex() == (y_bar - slope * x_bar).hex()
+
+
 def test_residual_scan_small_ladder_is_flat(cfg):
     records, report = residual_scan([2**j for j in range(6, 12)], cfg)
     assert abs(report.slope) <= 0.02

@@ -11,6 +11,7 @@ import pytest
 from test_asymptotics import _assert_reaped, _forks, _open_fds, _refuse_fork
 from test_exact import _floor_row_oracle
 
+import cotsum.exact
 from cotsum import PrecisionConfig, checks, numerics
 from cotsum.cli import main
 
@@ -120,3 +121,33 @@ def test_a_row_past_b_1000_has_no_class_0(cfg):
     b = 1003
     expected = _floor_row_oracle(b, cfg.working_precision)
     assert checks._floor_row(b, cfg) == expected
+
+
+def test_residues_are_formed_at_the_working_precision(monkeypatch):
+    # at 113 bits a residue rounded to binary64 before the subtraction reads
+    # 0 for every prop1 fractional part and for every floor a >= b, whose
+    # real part rounds to the integer floor(a/b) itself
+    cfg = PrecisionConfig(working_precision=113)
+    _, extra = checks.prop1(40, checks.DEFAULT_SEED, cfg)
+    assert 0 < extra["max_frac_error"] <= 1e-30
+    b = 37
+    seen = []
+    worst_residue = checks.worst_residue
+
+    def recorded(residues):
+        residues = list(residues)
+        seen.append(residues)
+        return worst_residue(residues)
+
+    monkeypatch.setattr(checks, "worst_residue", recorded)
+    checks._floor_row(b, cfg)
+    # the row's distances, class by class in the order of its class sums
+    a_values = [
+        a for s in cotsum.exact._floor_class_sums(b, range(b), cfg)
+        for a in range(s or b, 1001, b)
+    ]
+    distances = seen[-1]
+    assert len(distances) == len(a_values) == 1000
+    beyond = [d for a, d in zip(a_values, distances) if a >= b]
+    assert len(beyond) == 964
+    assert 0 < max(beyond) <= 1e-30

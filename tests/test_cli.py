@@ -221,18 +221,28 @@ def test_a_nan_residue_fails_and_is_reported(capsys, monkeypatch):
     assert checks.worst_residue([1e-12, 1e-11]) == 1e-11
     assert checks.worst_residue([]) == 0.0
     cfg = cotsum.PrecisionConfig()
-    # max(0.0, nan) is 0.0: a broken identity must not pass with residue 0
-    monkeypatch.setattr(exact, "cot_cos_identity_residual", lambda a, b, n, cfg: math.nan)
-    cases, extra = checks.prop1(5, 1, cfg)
-    assert cases and not any(ok for _, ok, _ in cases)
-    assert all(math.isnan(residue) for _, _, residue in cases)
-    assert math.isnan(extra["max_cot_cos_residue"])
-    assert extra["max_frac_error"] <= 1e-10
-    code, out, _ = run_cli(capsys, ["verify", "--suite", "prop1", "--size", "5"])
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["values"]["failed"] == 4
-    assert math.isnan(payload["values"]["max_residue"])
+    # max(0.0, nan) is 0.0: a broken identity must not pass with residue 0;
+    # a nan in the cot-cos sums (row 1), then in the cot-sin sums (row 2)
+    cot_row_sums = exact._cot_row_sums
+    for broken, nan_key, ok_key in (
+        (1, "max_cot_cos_residue", "max_frac_error"),
+        (2, "max_frac_error", "max_cot_cos_residue"),
+    ):
+        def one_row_nan(b, steps, row, cfg, broken=broken):
+            sums = cot_row_sums(b, steps, row, cfg)
+            return [math.nan] * len(sums) if row == broken else sums
+
+        monkeypatch.setattr(exact, "_cot_row_sums", one_row_nan)
+        cases, extra = checks.prop1(5, 1, cfg)
+        assert cases and not any(ok for _, ok, _ in cases)
+        assert all(math.isnan(residue) for _, _, residue in cases)
+        assert math.isnan(extra[nan_key])
+        assert extra[ok_key] <= 1e-10
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "prop1", "--size", "5"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["values"]["failed"] == 4
+        assert math.isnan(payload["values"]["max_residue"])
     # the floor suite: a nan imaginary part for one class of each b, a = 2's
     floor_class_sums = exact._floor_class_sums
 

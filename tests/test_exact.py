@@ -10,7 +10,7 @@ from operator import is_
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import cotsum.exact
 from cotsum import (
@@ -20,9 +20,7 @@ from cotsum import (
     ReducedFraction,
     c0,
     checks,
-    cot_cos_identity_residual,
     estermann_at_zero,
-    frac_via_cot_sin,
     sum_strategy,
 )
 from cotsum.asymptotics import residual_scan
@@ -31,6 +29,7 @@ from cotsum.exact import (
     _ROW_COPIES,
     _cot_derivative_coeffs,
     _cot_kernel,
+    _cot_row_sums,
     _gathered,
     _half_row_chunks,
     _half_row_sum,
@@ -488,13 +487,15 @@ def test_cot_derivative_matches_finite_difference():
 
 
 def _floor_parts(a, b, cfg):
-    """``(distance, imag)`` of floor(a/b)'s expression, as the floor suite forms them.
+    """``(distance, imag)`` of floor(a/b)'s expression, from its class sum.
 
-    ``distance`` is the real part's distance to floor(a/b).
+    ``distance`` is the real part's distance to floor(a/b), formed at the
+    working precision and rounded once.
     """
     s = a % b
     re_s, im = cotsum.exact._floor_class_sums(b, {s}, cfg)[s]
-    (distance,) = cotsum.exact._floor_distances(b, [(re_s, [a])], cfg)
+    with _context(cfg) as (mt, pi, real):
+        distance = abs(float(real(a) / b + real(1) / (2 * b) - real(1) / 2 + re_s - a // b))
     return distance, im
 
 
@@ -580,7 +581,7 @@ def _floor_row_oracle(b, precision):
     return (
         checks.worst_residue([abs(float(im)) for _, im in parts]),
         checks.worst_residue(
-            [abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)]
+            [abs(float(re - a // b)) for a, (re, _) in zip(a_values, parts)]
         ),
     )
 
@@ -648,16 +649,10 @@ def test_floor_sums_are_computed_once_per_residue_class(b, precision, monkeypatc
         return sum_strategy(values, cfg)
 
     monkeypatch.setattr(cotsum.exact, "sum_strategy", counted)
-    a = 12345
-    # a and a + 3b share a class: one pair of sums, and the oracle's bits
-    s = a % b
-    re, im = cotsum.exact._floor_class_sums(b, {s}, cfg)[s]
-    a_values = [a, a + 3 * b]
-    distances = cotsum.exact._floor_distances(b, [(re, a_values)], cfg)
-    oracle = _floor_oracle(a_values, b, precision)
-    assert [(d, im) for d in distances] == [
-        (abs(float(x) - v // b), i) for v, (x, i) in zip(a_values, oracle)
-    ]
+    # one class: one pair of sums, with the oracle's bits
+    s = 12345 % b
+    sums = cotsum.exact._floor_class_sums(b, {s}, cfg)
+    assert _class_bits(sums) == _class_bits(_floor_class_oracle(b, {s}, precision))
     assert summed == [b - 1, b - 1]
     # a = 1..1000 covers every class of b: one pair of sums per class
     summed.clear()
@@ -682,7 +677,7 @@ def test_floor_suite_matches_the_per_a_reference(precision):
         max_im = max(abs(float(im)) for _, im in parts)
         cases.append((f"b={b}", ok, max_im))
         imag.append(max_im)
-        rounding.append(max(abs(float(re) - a // b) for a, (re, _) in zip(a_values, parts)))
+        rounding.append(max(abs(float(re - a // b)) for a, (re, _) in zip(a_values, parts)))
     extra = {"max_imag_residue": max(imag), "max_rounding_distance": max(rounding)}
     assert checks.floor(12, checks.DEFAULT_SEED, cfg) == (cases, extra)
 
@@ -690,10 +685,22 @@ def test_floor_suite_matches_the_per_a_reference(precision):
 # ------------------------------------------------- proposition identities
 
 
+def _cot_cos(a, b, n, cfg=PrecisionConfig()):
+    """sum_{m=1}^{b-1} cot(pi*m/b) cos(2*pi*m*n*a/b), which vanishes identically."""
+    return _cot_row_sums(b, [n * a % b], 1, cfg)[0]
+
+
+def _frac(a, b, n, cfg=PrecisionConfig()):
+    """{n*a/b} = 1/2 - (1/(2b)) sum_{m=1}^{b-1} cot(pi*m/b) sin(2*pi*m*n*a/b), b !| n*a."""
+    (s,) = _cot_row_sums(b, [n * a % b], 2, cfg)
+    with _context(cfg) as (mt, pi, real):
+        return real(1) / 2 - s / (2 * b)
+
+
 def test_cot_cos_identity_examples(cfg):
-    assert cot_cos_identity_residual(1, 2, 1, cfg) == 0.0
-    assert abs(cot_cos_identity_residual(3, 7, 2, cfg)) <= 1e-12
-    assert abs(cot_cos_identity_residual(5, 360, 11, cfg)) <= 1e-10
+    assert _cot_cos(1, 2, 1, cfg) == 0.0
+    assert abs(_cot_cos(3, 7, 2, cfg)) <= 1e-12
+    assert abs(_cot_cos(5, 360, 11, cfg)) <= 1e-10
 
 
 @given(
@@ -702,14 +709,12 @@ def test_cot_cos_identity_examples(cfg):
     n=st.integers(min_value=1, max_value=10**6),
 )
 def test_cot_cos_identity_property(a, b, n):
-    assert abs(cot_cos_identity_residual(a, b, n)) <= 1e-10
+    assert abs(_cot_cos(a, b, n)) <= 1e-10
 
 
 def test_frac_identity_examples(cfg):
-    assert frac_via_cot_sin(1, 3, 1, cfg) == pytest.approx(1 / 3, abs=1e-10)
-    assert frac_via_cot_sin(5, 4, 3, cfg) == pytest.approx(0.75, abs=1e-10)
-    with pytest.raises(PreconditionError):
-        frac_via_cot_sin(2, 4, 2, cfg)
+    assert _frac(1, 3, 1, cfg) == pytest.approx(1 / 3, abs=1e-10)
+    assert _frac(5, 4, 3, cfg) == pytest.approx(0.75, abs=1e-10)
 
 
 @given(
@@ -718,13 +723,31 @@ def test_frac_identity_examples(cfg):
     n=st.integers(min_value=1, max_value=10**6),
 )
 def test_frac_identity_property(a, b, n):
-    if (n * a) % b == 0:
-        with pytest.raises(PreconditionError):
-            frac_via_cot_sin(a, b, n)
-        return
-    value = frac_via_cot_sin(a, b, n)
+    assume((n * a) % b)
+    value = _frac(a, b, n)
     assert 0.0 <= value < 1.0
     assert value == pytest.approx(((n * a) % b) / b, abs=1e-10)
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+@pytest.mark.parametrize("b", [2, 3, 12, 97])
+def test_cot_row_sums_are_the_term_by_term_sums(b, precision):
+    # every step of both rows, in one call per row, against one correctly
+    # rounded sum of the terms cot(pi*m/b) * cos or sin(2*pi*(m*step mod b)/b)
+    cfg = PrecisionConfig(working_precision=precision)
+    with mpmath.workprec(precision):
+        if precision == 53:
+            mt, pi, fsum = math, math.pi, math.fsum
+        else:
+            mt, pi, fsum = mpmath, +mpmath.pi, mpmath.fsum
+        cot = [_cot_kernel(m, b, mt, pi) for m in range(1, b)]
+        for row, fn in ((1, mt.cos), (2, mt.sin)):
+            want = [
+                fsum(c * fn(2 * pi * (m * step % b) / b) for m, c in enumerate(cot, 1))
+                for step in range(b)
+            ]
+            got = _cot_row_sums(b, range(b), row, cfg)
+            assert list(map(_bits, got)) == list(map(_bits, want)), (b, row)
 
 
 # ---------------------------------------------------------- unit-row gathers

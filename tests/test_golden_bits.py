@@ -25,14 +25,21 @@ from cotsum.asymptotics import (
     s_sum_direct,
 )
 from cotsum.exact import (
+    _cot_row_sums,
     _floor_class_sums,
     _unit_row,
     c0,
-    cot_cos_identity_residual,
     estermann_at_zero,
-    frac_via_cot_sin,
 )
-from cotsum.numerics import euler_gamma, log_two_pi, sum_strategy
+from cotsum.numerics import _context, euler_gamma, log_two_pi, sum_strategy
+
+
+def _frac_via_cot_sin(cfg):
+    """{3/10} = 1/2 - s/20, s the cot-sin sum of b = 10 at step 3."""
+    (s,) = _cot_row_sums(10, [3], 2, cfg)
+    with _context(cfg) as (mt, pi, real):
+        return real(1) / 2 - s / 20
+
 
 CASES = {
     "c0_3_17": lambda cfg: c0(ReducedFraction(3, 17), cfg),
@@ -45,8 +52,9 @@ CASES = {
         _floor_class_sums(12, range(12), cfg).items()
     ),
     "floor_class_sum": lambda cfg: _floor_class_sums(5, {2}, cfg)[2],
-    "cot_cos": lambda cfg: cot_cos_identity_residual(3, 10, 2, cfg),
-    "frac_via_cot_sin": lambda cfg: frac_via_cot_sin(3, 10, 1, cfg),
+    # the cot-cos sum of b = 10 at step 2*3 mod 10, which vanishes identically
+    "cot_cos": lambda cfg: _cot_row_sums(10, [6], 1, cfg)[0],
+    "frac_via_cot_sin": _frac_via_cot_sin,
     "cot_row": lambda cfg: _unit_row(9, cfg.working_precision)[0],
     "inner_block_expansion": lambda cfg: inner_block_expansion(3, 10, cfg),
     "s_sum_direct": lambda cfg: s_sum_direct(60, 10, cfg),
@@ -216,7 +224,9 @@ def test_bits_are_unchanged(name, precision):
 # Whole identity suites, up to b where a unit-row gather takes more than one
 # slice (at b = 40, every step from 33 up).  Per (suite, size, precision):
 # the sha256 of repr(suite(size, DEFAULT_SEED, cfg)), which holds every case's
-# residue, and the worst residues as float hex.
+# residue, and the worst residues as float hex.  Each residue is formed at the
+# working precision and rounded once, so at 113 bits prop1's fractional parts
+# and floor's a >= b read nonzero.
 SUITES = {"floor": checks.floor, "prop1": checks.prop1}
 
 SUITE_GOLDEN = {
@@ -231,14 +241,14 @@ SUITE_GOLDEN = {
          "max_frac_error": "0x1.8000000000000p-52"},
     ),
     ("floor", 40, 113): (
-        "7362d787fee0ff28589442b808200a96b303ca7d84d86b91a35ebf3925e2e300",
+        "80fae81b21639c8a24ff4868c788ea776882f936b76781e24707596e3fa4f043",
         {"max_imag_residue": "0x1.c6db6db6db6dbp-113",
-         "max_rounding_distance": "0x1.0000000000000p-112"},
+         "max_rounding_distance": "0x1.0000000000000p-104"},
     ),
     ("prop1", 40, 113): (
-        "1c6f5165ecf23b93d767ae5f52029e25d40896679c8d7824e9c22974f5b97c8c",
+        "aa4e9d6fe605494b06e0e7a5e6c08de17c481b39a7e92ba05db4242abc517f62",
         {"max_cot_cos_residue": "0x1.4aa0000000000p-107",
-         "max_frac_error": "0x0.0p+0"},
+         "max_frac_error": "0x1.0000000000000p-112"},
     ),
 }
 
